@@ -9,7 +9,6 @@ benchmark's data splits, prompts, and metrics.
 
 from .decoder import DecodeConfig, HttpScorer, NgramScorer, Scorer, decode, train_ngram
 from .earley import CharMask, PrefixState, check_string, init_state
-from .engine import KERNEL_KIND
 from .grammar import (
     Grammar,
     Production,

@@ -10,43 +10,15 @@ from __future__ import annotations
 
 from .engine import kernel
 from .errors import GrammarValidationError
-from .grammar import CHARCLASS, NONTERMINAL, TERMINAL, Grammar, reduce
-
-_NT = 0
-_T = 1
-_CC = 2
+from .grammar import Grammar, reduce
 
 
 class CompiledGrammar:
-    """Integer-coded production tables consumed by the chart kernel."""
+    """A reduced grammar together with the kernel's tables for it."""
 
     def __init__(self, grammar: Grammar):
-        from .grammar import nullable_set
-
         self.grammar = grammar
-        names = grammar.nonterminals
-        self.nt_ids = {name: i for i, name in enumerate(names)}
-        prods_lhs = []
-        prods_rhs = []
-        by_lhs = [[] for _ in names]
-        for p in grammar.productions:
-            rhs = []
-            for sym in p.rhs:
-                if sym.kind == NONTERMINAL:
-                    rhs.append((_NT, self.nt_ids[sym.name]))
-                elif sym.kind == TERMINAL:
-                    if sym.text:
-                        rhs.append((_T, sym.text))
-                    # "" is epsilon: encoded as an empty rhs
-                elif sym.kind == CHARCLASS:
-                    rhs.append((_CC, sym.negated, sym.chars))
-            idx = len(prods_lhs)
-            prods_lhs.append(self.nt_ids[p.lhs])
-            prods_rhs.append(rhs)
-            by_lhs[self.nt_ids[p.lhs]].append(idx)
-        nullable_names = nullable_set(grammar)
-        nullable = [name in nullable_names for name in names]
-        self.tables = (prods_lhs, prods_rhs, by_lhs, nullable, self.nt_ids[grammar.start])
+        self.tables = kernel.compile_tables(grammar)
 
 
 def _ensure_reduced(g: Grammar) -> None:

@@ -1,22 +1,1 @@
-"""Kernel selection: compiled chart engine when available, else pure Python.
-
-Set GRAMDEC_PURE_PYTHON=1 to force the interpreted kernel (useful for
-debugging and for the benchmark baseline).
-"""
-
-import os
-
-if os.environ.get("GRAMDEC_PURE_PYTHON"):
-    from . import _impl as kernel
-else:
-    try:
-        from . import _impl_cy as kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _impl as kernel  # type: ignore[no-redef]
-
-_file = getattr(kernel, "__file__", "") or ""
-KERNEL_KIND = (
-    "compiled" if _file.endswith((".so", ".pyd")) else "pure-python"
-)
-
-__all__ = ["kernel", "KERNEL_KIND"]
+"""The Earley chart kernel (`gramdec.engine.kernel`) and its table format."""

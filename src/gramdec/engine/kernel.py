@@ -1,13 +1,11 @@
 """Chart engine for character-incremental Earley recognition.
 
-This module is the hot kernel: it is deliberately written against plain
-tuples/lists/sets only, with no package-internal imports, so the identical
-source can be compiled by Cython (see setup.py) and selected at import time
-by gramdec.engine.
+This module is the hot kernel and the only one that knows the integer-coded
+table format: `compile_tables` builds it and the chart functions read it.
 
 Data layout
 -----------
-A grammar is compiled (by gramdec.earley) into a tables tuple:
+A grammar is compiled by `compile_tables` into a tables tuple:
 
     (prods_lhs, prods_rhs, by_lhs, nullable, start)
 
@@ -27,6 +25,35 @@ character plus column zero. Columns are frozen once built: advancing shares
 the earlier columns and appends a fresh one, which makes forked states
 branch-safe by construction.
 """
+
+from ..grammar import CHARCLASS, NONTERMINAL, TERMINAL, nullable_set
+
+
+def compile_tables(grammar):
+    """The tables tuple of a grammar, with nonterminals numbered in
+    `grammar.nonterminals` order."""
+    names = grammar.nonterminals
+    nt_ids = {name: i for i, name in enumerate(names)}
+    prods_lhs = []
+    prods_rhs = []
+    by_lhs = [[] for _ in names]
+    for p in grammar.productions:
+        rhs = []
+        for sym in p.rhs:
+            if sym.kind == NONTERMINAL:
+                rhs.append((0, nt_ids[sym.name]))
+            elif sym.kind == TERMINAL:
+                if sym.text:
+                    rhs.append((1, sym.text))
+                # "" is epsilon: encoded as an empty rhs
+            elif sym.kind == CHARCLASS:
+                rhs.append((2, sym.negated, sym.chars))
+        by_lhs[nt_ids[p.lhs]].append(len(prods_lhs))
+        prods_lhs.append(nt_ids[p.lhs])
+        prods_rhs.append(rhs)
+    nullable_names = nullable_set(grammar)
+    nullable = [name in nullable_names for name in names]
+    return (prods_lhs, prods_rhs, by_lhs, nullable, nt_ids[grammar.start])
 
 
 def _close(tables, columns, col_index):

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .earley import init_state
+from .earley import PrefixState, init_state
 from .errors import InductionError, MtopParseError, TypeCheckError
 from .grammar import Grammar, Production, Symbol, parse_grammar, reduce
 
@@ -24,6 +24,9 @@ class SignatureTable:
 
     signatures: dict = field(default_factory=dict)  # symbol -> (args, result)
     literals: dict = field(default_factory=dict)  # type -> grammar snippet text
+    _literal_states: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def add_signature(self, symbol, args, result):
         if symbol in self.signatures:
@@ -41,8 +44,14 @@ class SignatureTable:
             )
         self.literals[type_name] = snippet
 
-    def literal_grammar(self, type_name) -> Grammar:
-        return reduce(parse_grammar(self.literals[type_name]))
+    def literal_state(self, type_name) -> PrefixState:
+        """Empty-prefix recognizer state of a literal type's grammar, built
+        once per table (states are values, so sharing one is safe)."""
+        state = self._literal_states.get(type_name)
+        if state is None:
+            state = init_state(reduce(parse_grammar(self.literals[type_name])))
+            self._literal_states[type_name] = state
+        return state
 
 
 def load_signatures(text: str) -> SignatureTable:
@@ -73,28 +82,22 @@ class TypedExpression:
     children: list
 
 
-def _check_literal(atom: str, type_name: str, sigs: SignatureTable, cache: dict):
+def _check_literal(atom: str, type_name: str, sigs: SignatureTable):
     if type_name not in sigs.literals:
         raise TypeCheckError(
             f"atom {atom!r} where non-literal type {type_name!r} expected"
         )
-    g = cache.get(type_name)
-    if g is None:
-        g = sigs.literal_grammar(type_name)
-        cache[type_name] = g
-    state, _ = init_state(g).advance_string(atom)
+    state, _ = sigs.literal_state(type_name).advance_string(atom)
     if state is None or not state.is_complete():
         raise TypeCheckError(f"ill-typed literal {atom!r} for type {type_name!r}")
 
 
-def type_check(program, sigs: SignatureTable, expected=None, _cache=None):
+def type_check(program, sigs: SignatureTable, expected=None):
     """Annotate every node of an s-expression program with its type."""
-    if _cache is None:
-        _cache = {}
     if isinstance(program, str):
         if expected is None:
             raise TypeCheckError(f"bare literal {program!r} at program root")
-        _check_literal(program, expected, sigs, _cache)
+        _check_literal(program, expected, sigs)
         return TypedExpression(program, expected, [])
     if not program or not isinstance(program[0], str):
         raise TypeCheckError("application must start with an operator symbol")
@@ -112,7 +115,7 @@ def type_check(program, sigs: SignatureTable, expected=None, _cache=None):
             f"{symbol!r} yields {result!r} where {expected!r} expected"
         )
     children = [
-        type_check(child, sigs, expected=arg_type, _cache=_cache)
+        type_check(child, sigs, expected=arg_type)
         for child, arg_type in zip(actual, args)
     ]
     return TypedExpression(program, result, children)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from gramdec.earley import (
@@ -8,6 +10,7 @@ from gramdec.earley import (
     init_state,
     is_complete,
 )
+from gramdec.engine import kernel
 from gramdec.errors import GrammarValidationError
 from gramdec.grammar import parse_grammar, reduce
 
@@ -43,6 +46,10 @@ class TestInit:
         g = parse_grammar('S -> "a"\nX -> "b"')  # X unreachable
         with pytest.raises(GrammarValidationError):
             init_state(g)
+
+
+def test_one_kernel_module():
+    assert Path(kernel.__file__).parts[-2:] == ("engine", "kernel.py")
 
 
 class TestAdvance:

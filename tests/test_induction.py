@@ -2,6 +2,7 @@ import pytest
 
 from gramdec.earley import check_string
 from gramdec.errors import InductionError, MtopParseError, TypeCheckError
+from gramdec import induction
 from gramdec.grammar import serialize_grammar
 from gramdec.induction import (
     MtopTree,
@@ -95,6 +96,23 @@ class TestTypeCheck:
     def test_bare_root_literal(self, sigs):
         with pytest.raises(TypeCheckError):
             type_check(parse_sexp("2L"), sigs)
+
+    def test_literal_grammars_compile_once_per_table(self, monkeypatch):
+        started = []
+        real = induction.init_state
+
+        def counting(g):
+            started.append(g.start)
+            return real(g)
+
+        monkeypatch.setattr(induction, "init_state", counting)
+        programs = [PLAN, PLAN.replace("2L", "17L"), PLAN.replace("staff", "team")]
+        table = load_signatures(SIGS_JSONL)
+        for p in programs:
+            type_check(parse_sexp(p), table)
+        assert sorted(started) == ["Long", "String"]
+        type_check(parse_sexp(PLAN), load_signatures(SIGS_JSONL))
+        assert sorted(started) == ["Long", "Long", "String", "String"]
 
 
 class TestInduceLispress:
