@@ -237,10 +237,7 @@ def _cmd_build_prompt(args):
         max_examples=args.max_examples,
         seed=args.seed,
     )
-    if args.emit_json:
-        print(json.dumps({"prompt": prompt.text, "n_examples": prompt.n_examples}))
-    else:
-        print(prompt.text)
+    _emit(args, {"prompt": prompt.text, "n_examples": prompt.n_examples}, prompt.text)
     return 0
 
 
@@ -372,7 +369,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=1500)
     p.add_argument("--max-examples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--emit-json", action="store_true")
     p.set_defaults(func=_cmd_build_prompt)
 
     p = sub.add_parser("evaluate", help="score predictions against gold")

@@ -46,7 +46,6 @@ class Hypothesis:
     tokens: tuple
     logprob: float
     state: object  # PrefixState, or None when unconstrained
-    finished: bool = False
 
 
 @dataclass
@@ -54,9 +53,6 @@ class DecodeResult:
     text: str
     logprob: float
     tokens: tuple
-
-    def as_pair(self):
-        return self.text, self.logprob
 
 
 def _checked_scores(scorer, prefix, conditioning, size):
@@ -116,7 +112,7 @@ def decode(
             parent = active[slot]
             if tid == eos:
                 finished.append(
-                    Hypothesis(parent.tokens + (eos,), score, parent.state, True)
+                    Hypothesis(parent.tokens + (eos,), score, parent.state)
                 )
             else:
                 state = (

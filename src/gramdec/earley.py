@@ -130,18 +130,6 @@ def init_state(g: Grammar | CompiledGrammar) -> PrefixState:
     return PrefixState(compiled, kernel.initial_chart(compiled.tables), 0)
 
 
-def advance_char(s: PrefixState, c: str) -> PrefixState | None:
-    return s.advance_char(c)
-
-
-def allowed_next_chars(s: PrefixState) -> CharMask:
-    return s.allowed_next_chars()
-
-
-def is_complete(s: PrefixState) -> bool:
-    return s.is_complete()
-
-
 def check_string(g: Grammar, text: str):
     """Recognize a whole string: (verdict, offset).
 

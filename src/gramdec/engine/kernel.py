@@ -1,7 +1,7 @@
 """Chart engine for character-incremental Earley recognition.
 
-This module is the hot kernel and the only one that knows the integer-coded
-table format: `compile_tables` builds it and the chart functions read it.
+This module is the hot kernel and the only one that knows the table format:
+`compile_tables` builds it and the chart functions read it.
 
 Data layout
 -----------
@@ -10,23 +10,24 @@ A grammar is compiled by `compile_tables` into a tables tuple:
     (prods_lhs, prods_rhs, by_lhs, nullable, start)
 
     prods_lhs : list[int]            lhs nonterminal id per production
-    prods_rhs : list[list[sym]]      sym is (0, nt_id) for a nonterminal,
-                                     (1, text) for a nonempty terminal, or
-                                     (2, negated, frozenset) for a charclass;
+    prods_rhs : list[tuple[sym]]     sym is an int nonterminal id, or a
+                                     (chars, negated) pair that scans exactly
+                                     one character c when
+                                     (c in chars) != negated; a terminal
+                                     "abc" is one pair per character, so
                                      epsilon productions have an empty rhs
     by_lhs    : list[list[int]]      production indices per nonterminal id
     nullable  : list[bool]           per nonterminal id
     start     : int                  start nonterminal id
 
-An item is a tuple (prod, dot, origin, toff) where toff counts characters
-already matched inside the terminal at the dot. A column is a pair
+An item is a tuple (prod, dot, origin). A column is a pair
 (items_list, items_set); a chart is a list of columns, one per consumed
 character plus column zero. Columns are frozen once built: advancing shares
 the earlier columns and appends a fresh one, which makes forked states
 branch-safe by construction.
 """
 
-from ..grammar import CHARCLASS, NONTERMINAL, TERMINAL, nullable_set
+from ..grammar import NONTERMINAL, TERMINAL, nullable_set
 
 
 def compile_tables(grammar):
@@ -41,16 +42,14 @@ def compile_tables(grammar):
         rhs = []
         for sym in p.rhs:
             if sym.kind == NONTERMINAL:
-                rhs.append((0, nt_ids[sym.name]))
+                rhs.append(nt_ids[sym.name])
             elif sym.kind == TERMINAL:
-                if sym.text:
-                    rhs.append((1, sym.text))
-                # "" is epsilon: encoded as an empty rhs
-            elif sym.kind == CHARCLASS:
-                rhs.append((2, sym.negated, sym.chars))
+                rhs.extend((frozenset(c), False) for c in sym.text)
+            else:
+                rhs.append((sym.chars, sym.negated))
         by_lhs[nt_ids[p.lhs]].append(len(prods_lhs))
         prods_lhs.append(nt_ids[p.lhs])
-        prods_rhs.append(rhs)
+        prods_rhs.append(tuple(rhs))
     nullable_names = nullable_set(grammar)
     nullable = [name in nullable_names for name in names]
     return (prods_lhs, prods_rhs, by_lhs, nullable, nt_ids[grammar.start])
@@ -58,20 +57,12 @@ def compile_tables(grammar):
 
 def _close(tables, columns, col_index):
     """Close the newest column under predict and complete (nullable-aware)."""
-    prods_lhs = tables[0]
-    prods_rhs = tables[1]
-    by_lhs = tables[2]
-    nullable = tables[3]
+    prods_lhs, prods_rhs, by_lhs, nullable, _ = tables
     items, seen = columns[col_index]
     i = 0
     while i < len(items):
-        item = items[i]
+        prod, dot, origin = items[i]
         i += 1
-        if item[3]:
-            continue  # mid-terminal items only participate in scanning
-        prod = item[0]
-        dot = item[1]
-        origin = item[2]
         rhs = prods_rhs[prod]
         if dot == len(rhs):
             # Zero-span completions are covered by the nullable prediction
@@ -79,29 +70,23 @@ def _close(tables, columns, col_index):
             if origin == col_index:
                 continue
             lhs = prods_lhs[prod]
-            for parent in columns[origin][0]:
-                if parent[3]:
-                    continue
-                rhs2 = prods_rhs[parent[0]]
-                d2 = parent[1]
-                if d2 < len(rhs2):
-                    sym = rhs2[d2]
-                    if sym[0] == 0 and sym[1] == lhs:
-                        new = (parent[0], d2 + 1, parent[2], 0)
-                        if new not in seen:
-                            seen.add(new)
-                            items.append(new)
+            for p2, d2, o2 in columns[origin][0]:
+                rhs2 = prods_rhs[p2]
+                if d2 < len(rhs2) and rhs2[d2] == lhs:
+                    new = (p2, d2 + 1, o2)
+                    if new not in seen:
+                        seen.add(new)
+                        items.append(new)
         else:
-            sym = rhs[dot]
-            if sym[0] == 0:
-                n = sym[1]
+            n = rhs[dot]
+            if type(n) is int:
                 for p in by_lhs[n]:
-                    new = (p, 0, col_index, 0)
+                    new = (p, 0, col_index)
                     if new not in seen:
                         seen.add(new)
                         items.append(new)
                 if nullable[n]:
-                    new = (prod, dot + 1, origin, 0)
+                    new = (prod, dot + 1, origin)
                     if new not in seen:
                         seen.add(new)
                         items.append(new)
@@ -109,13 +94,9 @@ def _close(tables, columns, col_index):
 
 def initial_chart(tables):
     """Column zero: predicted closure of the start productions."""
-    items = []
-    seen = set()
-    for p in tables[2][tables[4]]:
-        item = (p, 0, 0, 0)
-        seen.add(item)
-        items.append(item)
-    columns = [(items, seen)]
+    _, _, by_lhs, _, start = tables
+    items = [(p, 0, 0) for p in by_lhs[start]]
+    columns = [(items, set(items))]
     _close(tables, columns, 0)
     return columns
 
@@ -127,60 +108,33 @@ def advance(tables, columns, ch):
     columns and appends one new closed column.
     """
     prods_rhs = tables[1]
-    frontier = columns[len(columns) - 1][0]
     items = []
-    seen = set()
-    for item in frontier:
-        prod = item[0]
-        dot = item[1]
+    for prod, dot, origin in columns[len(columns) - 1][0]:
         rhs = prods_rhs[prod]
-        if dot >= len(rhs):
-            continue
-        sym = rhs[dot]
-        kind = sym[0]
-        if kind == 1:
-            text = sym[1]
-            toff = item[3]
-            if text[toff] == ch:
-                if toff + 1 == len(text):
-                    new = (prod, dot + 1, item[2], 0)
-                else:
-                    new = (prod, dot, item[2], toff + 1)
-                if new not in seen:
-                    seen.add(new)
-                    items.append(new)
-        elif kind == 2:
-            if (ch in sym[2]) != sym[1]:
-                new = (prod, dot + 1, item[2], 0)
-                if new not in seen:
-                    seen.add(new)
-                    items.append(new)
+        if dot < len(rhs):
+            sym = rhs[dot]
+            if type(sym) is not int and (ch in sym[0]) != sym[1]:
+                # Distinct frontier items scan to distinct items.
+                items.append((prod, dot + 1, origin))
     if not items:
         return None
     new_columns = list(columns)
-    new_columns.append((items, seen))
+    new_columns.append((items, set(items)))
     _close(tables, new_columns, len(new_columns) - 1)
     return new_columns
 
 
 def accepted(tables, columns):
     """Whether the consumed prefix is a full member of the language."""
-    prods_lhs = tables[0]
-    prods_rhs = tables[1]
-    start = tables[4]
-    for item in columns[len(columns) - 1][0]:
-        if (
-            item[3] == 0
-            and item[2] == 0
-            and prods_lhs[item[0]] == start
-            and item[1] == len(prods_rhs[item[0]])
-        ):
+    prods_lhs, prods_rhs, _, _, start = tables
+    for prod, dot, origin in columns[len(columns) - 1][0]:
+        if origin == 0 and prods_lhs[prod] == start and dot == len(prods_rhs[prod]):
             return True
     return False
 
 
 def next_chars(tables, columns):
-    """Legal next characters, read off the frontier's dotted terminals.
+    """Legal next characters, read off the frontier's scan symbols.
 
     Returns (positive, negated_classes): a set of explicitly allowed
     characters plus the excluded-char sets of any negated classes at the
@@ -189,18 +143,13 @@ def next_chars(tables, columns):
     prods_rhs = tables[1]
     positive = set()
     negated = []
-    for item in columns[len(columns) - 1][0]:
-        rhs = prods_rhs[item[0]]
-        dot = item[1]
-        if dot >= len(rhs):
-            continue
-        sym = rhs[dot]
-        kind = sym[0]
-        if kind == 1:
-            positive.add(sym[1][item[3]])
-        elif kind == 2:
-            if sym[1]:
-                negated.append(sym[2])
-            else:
-                positive.update(sym[2])
+    for prod, dot, _ in columns[len(columns) - 1][0]:
+        rhs = prods_rhs[prod]
+        if dot < len(rhs):
+            sym = rhs[dot]
+            if type(sym) is not int:
+                if sym[1]:
+                    negated.append(sym[0])
+                else:
+                    positive.update(sym[0])
     return positive, negated

@@ -76,10 +76,9 @@ class Grammar:
     entire right-hand side.
     """
 
-    def __init__(self, start: str, productions, version_tag: str = ""):
+    def __init__(self, start: str, productions):
         self.start = start
         self.productions = tuple(productions)
-        self.version_tag = version_tag
         self._validate()
 
     def _validate(self):
@@ -154,7 +153,12 @@ _CLASS_ESCAPES = {"]": "]", "\\": "\\", "n": "\n", "t": "\t", "-": "-", "^": "^"
 
 
 def _parse_rhs_items(lineno: int, start_col: int, text: str):
-    """Parse one rhs alternative into a list of Symbols."""
+    """Parse a rule's rhs into its alternatives, each a list of Symbols.
+
+    A top-level ``|`` ends an alternative; inside quotes and classes it is
+    an ordinary character. An empty alternative is epsilon.
+    """
+    alts = []
     items = []
     i = 0
     n = len(text)
@@ -167,7 +171,11 @@ def _parse_rhs_items(lineno: int, start_col: int, text: str):
         if c in " \t":
             i += 1
             continue
-        if c == '"':
+        if c == "|":
+            alts.append(items)
+            items = []
+            i += 1
+        elif c == '"':
             j = i + 1
             buf = []
             while True:
@@ -233,7 +241,8 @@ def _parse_rhs_items(lineno: int, start_col: int, text: str):
             i = j
         else:
             err(f"unexpected character {c!r}", i)
-    return items
+    alts.append(items)
+    return alts
 
 
 def parse_grammar(text: str) -> Grammar:
@@ -273,8 +282,7 @@ def parse_grammar(text: str) -> Grammar:
         if first_lhs is None:
             first_lhs = lhs
         col_base = raw.index("->") + 2
-        for alt in _split_alternatives(rhs_text):
-            items = _parse_rhs_items(lineno, col_base, alt)
+        for items in _parse_rhs_items(lineno, col_base, rhs_text):
             # "" alone is epsilon; elsewhere empty literals are rejected later
             productions.append(Production(lhs, tuple(items)))
     if not productions:
@@ -285,48 +293,6 @@ def parse_grammar(text: str) -> Grammar:
         return Grammar(start, productions)
     except GrammarValidationError as exc:
         raise GrammarValidationError(str(exc)) from None
-
-
-def _split_alternatives(text: str):
-    """Split a rhs on top-level ``|`` (quotes and classes shield the bar)."""
-    alts = []
-    buf = []
-    i = 0
-    n = len(text)
-    in_string = False
-    in_class = False
-    while i < n:
-        c = text[i]
-        if in_string:
-            if c == "\\" and i + 1 < n:
-                buf.append(text[i : i + 2])
-                i += 2
-                continue
-            if c == '"':
-                in_string = False
-            buf.append(c)
-        elif in_class:
-            if c == "\\" and i + 1 < n:
-                buf.append(text[i : i + 2])
-                i += 2
-                continue
-            if c == "]":
-                in_class = False
-            buf.append(c)
-        elif c == '"':
-            in_string = True
-            buf.append(c)
-        elif c == "[":
-            in_class = True
-            buf.append(c)
-        elif c == "|":
-            alts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(c)
-        i += 1
-    alts.append("".join(buf))
-    return alts
 
 
 def _escape_literal(text: str) -> str:
@@ -416,7 +382,7 @@ def reduce(g: Grammar) -> Grammar:
                     reachable.add(n)
                     frontier.append(n)
     kept = [p for p in useful if p.lhs in reachable]
-    return Grammar(g.start, kept, version_tag=g.version_tag)
+    return Grammar(g.start, kept)
 
 
 def nullable_set(g: Grammar) -> set:

@@ -289,18 +289,7 @@ def parse_mtop(text: str) -> MtopTree:
         raise MtopParseError("trailing garbage after tree")
     if not tree.label.startswith("IN:"):
         raise MtopParseError(f"root label {tree.label!r} is not an intent")
-    _validate_mtop(tree)
     return tree
-
-
-def _validate_mtop(tree: MtopTree):
-    for child in tree.children:
-        if isinstance(child, MtopTree):
-            if tree.label.startswith("SL:") and child.label.startswith("IN:"):
-                raise MtopParseError(
-                    f"slot {tree.label} contains intent {child.label}"
-                )
-            _validate_mtop(child)
 
 
 _MTOP_START = "MTOP_START"

@@ -44,7 +44,7 @@ class DatasetExample:
     portion: str = ""  # "train" | "dev" | "test"
 
 
-def load_dataset_jsonl(text: str, schema_loader=None):
+def load_dataset_jsonl(text: str):
     """Parse dataset JSONL records into DatasetExamples."""
     from .sql import load_schema_json
 

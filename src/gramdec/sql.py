@@ -114,7 +114,7 @@ def specialize_sql_grammar(base: Grammar, schema: DbSchema) -> Grammar:
         for c in t.columns:
             add(COLUMN_NT, c.name)
             add(COLUMN_NT, f"{t.name}.{c.name}")
-    return reduce(Grammar(base.start, productions, version_tag=base.version_tag))
+    return reduce(Grammar(base.start, productions))
 
 
 def render_schema(schema: DbSchema, with_values: bool = False) -> str:

@@ -338,7 +338,7 @@ class TestBuildPrompt:
             ds,
             "--target",
             "utt 3",
-            "--emit-json",
+            "--json",
         )
         assert code == 0
         data = json.loads(out)

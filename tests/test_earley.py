@@ -2,14 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from gramdec.earley import (
-    CharMask,
-    advance_char,
-    allowed_next_chars,
-    check_string,
-    init_state,
-    is_complete,
-)
+from gramdec.earley import CharMask, check_string, init_state
 from gramdec.engine import kernel
 from gramdec.errors import GrammarValidationError
 from gramdec.grammar import parse_grammar, reduce
@@ -29,18 +22,18 @@ def advance_all(state, text):
 
 class TestInit:
     def test_epsilon_in_language(self):
-        assert is_complete(init_state(ANBN)) is True
+        assert init_state(ANBN).is_complete() is True
 
     def test_not_complete(self):
         g = parse_grammar('S -> "a"')
-        assert is_complete(init_state(g)) is False
+        assert init_state(g).is_complete() is False
 
     def test_initial_allowed_chars(self):
         # oracle: first characters of enumerated members
         from gramdec.grammar import enumerate_language
 
         firsts = {w[0] for w in enumerate_language(ANBN, 6) if w}
-        assert allowed_next_chars(init_state(ANBN)) == firsts == {"a"}
+        assert init_state(ANBN).allowed_next_chars() == firsts == {"a"}
 
     def test_requires_reduced_grammar(self):
         g = parse_grammar('S -> "a"\nX -> "b"')  # X unreachable
@@ -55,13 +48,13 @@ def test_one_kernel_module():
 class TestAdvance:
     def test_accept_path(self):
         s = init_state(ANBN)
-        s = advance_char(s, "a")
+        s = s.advance_char("a")
         assert s is not None and not s.is_complete()
-        s = advance_char(s, "b")
+        s = s.advance_char("b")
         assert s is not None and s.is_complete()
 
     def test_reject(self):
-        assert advance_char(init_state(ANBN), "b") is None
+        assert init_state(ANBN).advance_char("b") is None
 
     def test_source_state_unchanged(self):
         s0 = init_state(ANBN)

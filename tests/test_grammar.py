@@ -49,9 +49,19 @@ class TestParse:
             parse_grammar('S -> "a')
         assert err.value.line == 1
 
+    def test_error_column_after_alternative(self):
+        with pytest.raises(GrammarSyntaxError) as err:
+            parse_grammar('S -> "a" | "b" $')
+        assert err.value.column == 16
+
     def test_alternatives_and_comments(self):
-        g = parse_grammar('# top\nS -> "a" | "b" S | [xy]\n')
-        assert len(g.productions) == 3
+        g = parse_grammar('# top\nS -> "a" | "b" S | [xy] | "|" | [|] |\n')
+        assert [p.rhs for p in g.productions[3:]] == [
+            (Symbol.t("|"),),
+            (Symbol.cc("|"),),
+            (Symbol.t(""),),
+        ]
+        assert len(g.productions) == 6
 
     def test_escapes(self):
         g = parse_grammar('S -> "\\"\\\\\\n\\t"')

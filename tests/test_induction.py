@@ -195,9 +195,11 @@ class TestParseMtop:
         with pytest.raises(MtopParseError):
             parse_mtop("[SL:Sender Atlas]")
 
-    def test_slot_cannot_hold_intent(self):
-        with pytest.raises(MtopParseError):
-            parse_mtop("[IN:A [SL:B [IN:C x]]]")
+    def test_slot_may_hold_intent(self):
+        text = "[IN:A [SL:B [IN:C x]]]"
+        tree = parse_mtop(text)
+        assert tree.render() == text
+        assert check_string(induce_mtop_grammar([tree]), text)[0] == "accepted"
 
     def test_unbalanced(self):
         with pytest.raises(MtopParseError):
