@@ -50,9 +50,7 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_grammar(path: str | None):
-    if path is None:
-        return reduce(load_base_sql_grammar())
+def _load_grammar(path: str):
     return reduce(parse_grammar(_read(path)))
 
 

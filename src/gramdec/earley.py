@@ -14,10 +14,9 @@ from .grammar import Grammar, reduce
 
 
 class CompiledGrammar:
-    """A reduced grammar together with the kernel's tables for it."""
+    """The kernel's tables for a reduced grammar."""
 
     def __init__(self, grammar: Grammar):
-        self.grammar = grammar
         self.tables = kernel.compile_tables(grammar)
 
 
@@ -32,16 +31,27 @@ def _ensure_reduced(g: Grammar) -> None:
 
 
 class CharMask:
-    """Set of legal next characters; may be cofinite via negated classes."""
+    """Set of legal next characters; may be cofinite via a negated class.
+
+    Negated classes fold into one excluded set, the intersection of the
+    classes less the positive characters, so equal masks have equal fields:
+    a cofinite mask holds no positive characters and one negated class.
+    """
 
     def __init__(self, positive, negated_classes=()):
-        self.positive = frozenset(positive)
-        self.negated_classes = tuple(frozenset(n) for n in negated_classes)
+        positive = frozenset(positive)
+        negated = [frozenset(n) for n in negated_classes]
+        if negated:
+            self.positive = frozenset()
+            self.negated_classes = (frozenset.intersection(*negated) - positive,)
+        else:
+            self.positive = positive
+            self.negated_classes = ()
 
     def __contains__(self, c) -> bool:
-        if c in self.positive:
-            return True
-        return any(c not in neg for neg in self.negated_classes)
+        if self.negated_classes:
+            return c not in self.negated_classes[0]
+        return c in self.positive
 
     @property
     def is_finite(self) -> bool:
@@ -57,8 +67,6 @@ class CharMask:
 
     def __eq__(self, other):
         if isinstance(other, CharMask):
-            if self.is_finite and other.is_finite:
-                return self.positive == other.positive
             return (
                 self.positive == other.positive
                 and self.negated_classes == other.negated_classes
@@ -68,15 +76,12 @@ class CharMask:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.positive, frozenset(self.negated_classes)))
+        return hash((self.positive, self.negated_classes))
 
     def __repr__(self):
         if self.is_finite:
             return f"CharMask({sorted(self.positive)!r})"
-        return (
-            f"CharMask({sorted(self.positive)!r}, "
-            f"negated={[sorted(n) for n in self.negated_classes]!r})"
-        )
+        return f"CharMask([], negated=[{sorted(self.negated_classes[0])!r}])"
 
 
 class PrefixState:
@@ -88,10 +93,6 @@ class PrefixState:
         self.compiled = compiled
         self._columns = columns
         self.consumed = consumed
-
-    @property
-    def grammar(self) -> Grammar:
-        return self.compiled.grammar
 
     def advance_char(self, c: str) -> "PrefixState | None":
         """New state after one character, or None if the prefix dies."""

@@ -48,12 +48,6 @@ class Symbol:
     def cc(chars, negated: bool = False) -> "Symbol":
         return Symbol(CHARCLASS, chars=frozenset(chars), negated=negated)
 
-    def matches_char(self, c: str) -> bool:
-        """Whether this charclass symbol matches a single character."""
-        if self.kind != CHARCLASS:
-            raise GramdecError("matches_char only applies to charclass symbols")
-        return (c in self.chars) != self.negated
-
 
 @dataclass(frozen=True)
 class Production:

@@ -55,34 +55,34 @@ def _tokenize(text: str):
     return tokens
 
 
-def parse_sexp(text: str):
-    """Parse one s-expression; trailing garbage is an error."""
-    tokens = _tokenize(text)
+def _parse(tokens):
+    """The one s-expression that a token list spells; an explicit stack of
+    open lists keeps deep nesting off the Python call stack."""
     if not tokens:
         raise SexpError("empty input")
-    pos = 0
-
-    def parse_node():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
+    stack = []
+    for pos, tok in enumerate(tokens):
         if tok == "(":
-            children = []
-            while True:
-                if pos >= len(tokens):
-                    raise SexpError("unbalanced parentheses: missing ')'")
-                if tokens[pos] == ")":
-                    pos += 1
-                    return children
-                children.append(parse_node())
+            stack.append([])
+            continue
         if tok == ")":
-            raise SexpError("unbalanced parentheses: unexpected ')'")
-        return tok
+            if not stack:
+                raise SexpError("unbalanced parentheses: unexpected ')'")
+            node = stack.pop()
+        else:
+            node = tok
+        if stack:
+            stack[-1].append(node)
+        elif pos + 1 != len(tokens):
+            raise SexpError(f"trailing garbage after expression: {tokens[pos + 1]!r}")
+        else:
+            return node
+    raise SexpError("unbalanced parentheses: missing ')'")
 
-    node = parse_node()
-    if pos != len(tokens):
-        raise SexpError(f"trailing garbage after expression: {tokens[pos]!r}")
-    return node
+
+def parse_sexp(text: str):
+    """Parse one s-expression; trailing garbage is an error."""
+    return _parse(_tokenize(text))
 
 
 def canonical(n) -> str:
@@ -94,16 +94,15 @@ def canonical(n) -> str:
     return "(" + " ".join(canonical(c) for c in n) + ")"
 
 
-def sexp_equal(a, b) -> bool:
-    if isinstance(a, str) or isinstance(b, str):
-        return a == b
-    return len(a) == len(b) and all(sexp_equal(x, y) for x, y in zip(a, b))
-
-
 def lispress_equal(a: str, b: str) -> bool:
     """Whether two program strings parse to structurally equal trees.
 
     Raises SexpError if either side fails to parse; the evaluation layer
     catches that and counts the prediction as a flagged parse failure.
+    Two well-formed s-expressions are structurally equal exactly when
+    their token lists are equal.
     """
-    return sexp_equal(parse_sexp(a), parse_sexp(b))
+    tokens_a, tokens_b = _tokenize(a), _tokenize(b)
+    _parse(tokens_a)
+    _parse(tokens_b)
+    return tokens_a == tokens_b

@@ -388,6 +388,24 @@ class TestEvaluate:
         agg = json.loads(out)
         assert agg["mean"] == pytest.approx(0.75) and agg["stddev"] == 0.0
 
+    def test_deep_gold(self, capsys, tmp_path):
+        deep = "(a " * 5000 + ")" * 5000
+        ds = tmp_path / "gold.jsonl"
+        ds.write_text(json.dumps({"id": "1", "gold": deep, "portion": "test"}))
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(json.dumps({"id": "1", "prediction": deep}))
+        code, out, _ = run(
+            capsys,
+            "evaluate",
+            "--dataset",
+            str(ds),
+            "--predictions",
+            str(preds),
+            "--metric",
+            "lispress",
+        )
+        assert code == 0 and json.loads(out)["accuracy"] == 1.0
+
     def test_unsupported_metric(self, capsys, tmp_path):
         ds = tmp_path / "gold.jsonl"
         ds.write_text(json.dumps({"id": "1", "gold": "(a)", "portion": "test"}))

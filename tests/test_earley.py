@@ -45,6 +45,17 @@ def test_one_kernel_module():
     assert Path(kernel.__file__).parts[-2:] == ("engine", "kernel.py")
 
 
+def test_table_layout():
+    # one slot per scanned character or nonterminal, then a None end slot;
+    # the epsilon terminal takes no slot
+    g = parse_grammar('S -> "ab" A | ""\nA -> [^x]')
+    syms, lhs_at, starts, _, _ = kernel.compile_tables(g)
+    a, b, not_x = (frozenset("a"), False), (frozenset("b"), False), (frozenset("x"), True)
+    assert syms == [a, b, 1, None, None, not_x, None]
+    assert lhs_at == [0, 0, 0, 0, 0, 1, 1]
+    assert starts == [[0, 4], [5]]
+
+
 class TestAdvance:
     def test_accept_path(self):
         s = init_state(ANBN)
@@ -156,6 +167,15 @@ class TestCharMask:
         assert "z" in mask and "a" not in mask
         with pytest.raises(ValueError):
             mask.as_set()
+
+    def test_equal_masks_compare_equal(self):
+        # after "x" two items wait on [^a], after "y" one: the same characters
+        g = reduce(parse_grammar('S -> "x" C | "y" D\nC -> [^a] | [^a] C\nD -> [^a]'))
+        s = init_state(g)
+        after_x = s.advance_char("x").allowed_next_chars()
+        after_y = s.advance_char("y").allowed_next_chars()
+        assert after_x == after_y and hash(after_x) == hash(after_y)
+        assert CharMask({"a"}, [{"a", "b"}, {"a", "b", "c"}]) == CharMask((), [{"b"}])
 
     def test_set_equality_and_iteration(self):
         mask = CharMask({"b", "a"})

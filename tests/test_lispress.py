@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gramdec.errors import SexpError
-from gramdec.lispress import canonical, lispress_equal, parse_sexp, sexp_equal
+from gramdec.lispress import canonical, lispress_equal, parse_sexp
 
 PLAN = (
     '(Yield (Event.start (FindNumNextEvent (Event.subject_? (?~= "staff meeting"))'
@@ -84,7 +84,7 @@ class TestRoundTrip:
         for _ in range(400):
             tree = random_tree(rng)
             text = canonical(tree)
-            assert sexp_equal(parse_sexp(text), tree)
+            assert parse_sexp(text) == tree
 
     def test_whitespace_invariance(self):
         # quoted strings protect internal spacing; everything else is fair game
