@@ -16,7 +16,7 @@ from . import __version__
 from .decoder import DecodeConfig, HttpScorer, decode, train_ngram
 from .earley import check_string, init_state
 from .errors import GramdecError
-from .grammar import parse_grammar, reduce, serialize_grammar
+from .grammar import parse_grammar, serialize_grammar
 from .induction import (
     induce_lispress_grammar,
     induce_mtop_grammar,
@@ -25,7 +25,8 @@ from .induction import (
     type_check,
 )
 from .lispress import parse_sexp
-from .prompting import ContextMode, PromptExample, bm25_scores, build_prompt, render_input
+from .prompting import DIALOGUE_MODES, SQL_MODES, ContextMode, PromptExample
+from .prompting import bm25_scores, build_prompt, render_input
 from .splits import (
     MetricReport,
     aggregate_low,
@@ -47,11 +48,42 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GramdecError(f"cannot read {path}: {exc}") from None
 
 
 def _load_grammar(path: str):
-    return reduce(parse_grammar(_read(path)))
+    return parse_grammar(_read(path))
+
+
+def _prefix_state(args):
+    """The recognizer state after --prefix under --grammar."""
+    g = _load_grammar(args.grammar)
+    state, consumed = init_state(g).advance_string(args.prefix)
+    if state is None:
+        raise GramdecError(f"prefix rejected at offset {consumed}")
+    return state
+
+
+def _write_grammar(args, g):
+    """Print g's text, or write it to --out and report that."""
+    text = serialize_grammar(g)
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    Path(args.out).write_text(text, encoding="utf-8")
+    n = len(g.productions)
+    _emit(args, {"out": args.out, "productions": n}, f"wrote {args.out} ({n} productions)")
+    return 0
+
+
+def positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
 
 
 def _emit(args, payload: dict, plain: str):
@@ -66,36 +98,20 @@ def _emit(args, payload: dict, plain: str):
 
 
 def _cmd_check(args):
-    g = _load_grammar(args.grammar)
-    verdict, offset = check_string(g, args.input)
+    verdict, offset = check_string(_load_grammar(args.grammar), args.input)
     if verdict == "accepted":
-        _emit(args, {"verdict": "accepted"}, "accepted")
+        _emit(args, {"verdict": verdict}, verdict)
         return 0
     if verdict == "rejected":
-        _emit(
-            args,
-            {"verdict": "rejected", "offset": offset},
-            f"rejected at offset {offset}",
-        )
+        plain = f"rejected at offset {offset}"
     else:
-        _emit(
-            args,
-            {"verdict": "incomplete", "offset": offset},
-            f"incomplete: viable prefix but not a member (consumed {offset})",
-        )
+        plain = f"incomplete: viable prefix but not a member (consumed {offset})"
+    _emit(args, {"verdict": verdict, "offset": offset}, plain)
     return 2
 
 
 def _cmd_allowed_chars(args):
-    g = _load_grammar(args.grammar)
-    state, consumed = init_state(g).advance_string(args.prefix)
-    if state is None:
-        _emit(
-            args,
-            {"error": f"prefix rejected at offset {consumed}"},
-            f"prefix rejected at offset {consumed}",
-        )
-        return 2
+    state = _prefix_state(args)
     mask = state.allowed_next_chars()
     payload = {
         "chars": sorted(mask.positive),
@@ -107,18 +123,9 @@ def _cmd_allowed_chars(args):
 
 
 def _cmd_allowed_tokens(args):
-    g = _load_grammar(args.grammar)
+    state = _prefix_state(args)
     vocab = load_vocab_jsonl(_read(args.vocab))
-    trie = build_trie(vocab)
-    state, consumed = init_state(g).advance_string(args.prefix)
-    if state is None:
-        _emit(
-            args,
-            {"error": f"prefix rejected at offset {consumed}"},
-            f"prefix rejected at offset {consumed}",
-        )
-        return 2
-    ids = sorted(allowed_tokens(state, trie))
+    ids = sorted(allowed_tokens(state, build_trie(vocab)))
     payload = {"tokens": ids}
     if args.dense:
         payload["mask"] = dense_mask(ids, vocab.size)
@@ -139,40 +146,21 @@ def _cmd_induce_grammar(args):
     else:
         trees = [parse_mtop(ex.gold) for ex in dataset]
         grammar = induce_mtop_grammar(trees)
-    text = serialize_grammar(grammar)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        _emit(
-            args,
-            {"out": args.out, "productions": len(grammar.productions)},
-            f"wrote {args.out} ({len(grammar.productions)} productions)",
-        )
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_grammar(args, grammar)
 
 
 def _cmd_specialize_sql(args):
     base = _load_grammar(args.grammar) if args.grammar else load_base_sql_grammar()
     schema = load_schema_json(_read(args.schema))
-    g = specialize_sql_grammar(base, schema)
-    text = serialize_grammar(g)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        _emit(
-            args,
-            {"out": args.out, "productions": len(g.productions)},
-            f"wrote {args.out} ({len(g.productions)} productions)",
-        )
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_grammar(args, specialize_sql_grammar(base, schema))
 
 
 def _cmd_decode(args):
     vocab = load_vocab_jsonl(_read(args.vocab))
     grammar = _load_grammar(args.grammar) if args.grammar else None
     constrained = True if args.constrained is None else args.constrained
+    if constrained and grammar is None:
+        raise UsageError("--grammar is required unless --unconstrained")
     cfg = DecodeConfig(
         beam_size=args.beam,
         max_tokens=args.max_tokens,
@@ -218,6 +206,8 @@ def _cmd_make_splits(args):
 
 
 def _cmd_build_prompt(args):
+    if args.db_values and args.context_mode not in SQL_MODES:
+        raise UsageError("--db-values needs an SQL context mode")
     dataset = load_dataset_jsonl(_read(args.dataset))
     mode = ContextMode(args.context_mode, with_values=args.db_values)
     pool = [render_input(ex, mode) for ex in dataset]
@@ -240,6 +230,8 @@ def _cmd_build_prompt(args):
 
 
 def _cmd_evaluate(args):
+    if not (args.aggregate or args.predictions and args.dataset):
+        raise UsageError("evaluate needs --predictions/--dataset or --aggregate")
     if args.aggregate:
         reports = []
         for path in args.aggregate:
@@ -285,7 +277,8 @@ def _cmd_evaluate(args):
 # Parser wiring
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="gramdec", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -337,9 +330,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--scorer", choices=["ngram", "http"], default="ngram")
     p.add_argument("--url", help="scorer endpoint (http scorer)")
     p.add_argument("--ngram-corpus", help="JSONL of token-id lists (ngram scorer)")
-    p.add_argument("--ngram-order", type=int, default=2)
-    p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--max-tokens", type=int, default=128)
+    p.add_argument("--ngram-order", type=int, choices=range(1, 6), default=2)
+    p.add_argument("--beam", type=positive_int, default=5)
+    p.add_argument("--max-tokens", type=positive_int, default=128)
     p.add_argument("--constrained", dest="constrained", action="store_true", default=None)
     p.add_argument("--unconstrained", dest="constrained", action="store_false")
     p.add_argument("--input", help="conditioning string")
@@ -359,7 +352,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--dataset", required=True, help="training pool JSONL")
     p.add_argument("--target", required=True, help="rendered target input")
-    p.add_argument("--context-mode", default="none")
+    p.add_argument("--context-mode", choices=DIALOGUE_MODES + SQL_MODES, default="none")
     p.add_argument("--db-values", action="store_true")
     p.add_argument(
         "--order", choices=["random", "best_first", "best_last"], default="best_last"
@@ -383,31 +376,39 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_evaluate)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args):
-    if not getattr(args, "config", None):
-        return
-    data = json.loads(_read(args.config))
+def _with_config(parser, command, argv, path):
+    """Parse argv again over the flag defaults in the JSON config at path,
+    so explicit flags win. A config value goes through its flag's type and
+    choices as a flag value does."""
+    data = json.loads(_read(path))
     if not isinstance(data, dict):
         raise GramdecError("config file must hold a JSON object")
+    actions = {a.dest: a for a in command._actions}
+    defaults = {}
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) in (None, False):
-            setattr(args, attr, value)
+        action = actions.get(key.replace("-", "_"))
+        if action is not None:
+            # argparse runs a string default through the flag's type
+            defaults[action.dest] = str(value) if action.type else value
+    command.set_defaults(**defaults)
+    args = parser.parse_args(argv)
+    for dest in defaults:
+        value, choices = getattr(args, dest), actions[dest].choices
+        if choices is not None and value not in choices:
+            raise UsageError(f"config: invalid choice {value!r} for {dest}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = None
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
-        if getattr(args, "predictions", "ok") is None and not getattr(
-            args, "aggregate", None
-        ):
-            raise UsageError("evaluate needs --predictions/--dataset or --aggregate")
+        if args.config:
+            args = _with_config(parser, commands[args.command], argv, args.config)
         return args.func(args)
     except UsageError as exc:
         _fail(args, str(exc))

@@ -137,18 +137,13 @@ def decode(
             "constrained beam emptied before any hypothesis finished"
         )
 
-    def rank_key(h: Hypothesis):
-        score = h.logprob
+    def final_score(h: Hypothesis):
         if cfg.length_normalize and h.tokens:
-            score = score / len(h.tokens)
-        return (-score, h.tokens)
+            return h.logprob / len(h.tokens)
+        return h.logprob
 
-    pool.sort(key=rank_key)
-    out = []
-    for h in pool:
-        norm = h.logprob / len(h.tokens) if cfg.length_normalize and h.tokens else h.logprob
-        out.append(DecodeResult(vocab.detokenize(h.tokens), norm, h.tokens))
-    return out
+    pool.sort(key=lambda h: (-final_score(h), h.tokens))
+    return [DecodeResult(vocab.detokenize(h.tokens), final_score(h), h.tokens) for h in pool]
 
 
 # ---------------------------------------------------------------------------

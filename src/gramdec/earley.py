@@ -1,33 +1,33 @@
-"""Character-incremental Earley recognition over reduced grammars.
+"""Character-incremental Earley recognition.
 
 A PrefixState tracks the chart after consuming a character prefix. States
 are values: advancing returns a fresh state and never mutates the source,
-so beam-search branches can fork freely. For reduced grammars, a prefix is
-accepted exactly when it extends to some member of the language.
+so beam-search branches can fork freely. A prefix survives exactly when it
+extends to some member of the language: recognition runs on the reduced
+grammar, which this module builds and compiles once per grammar.
 """
 
 from __future__ import annotations
 
+import weakref
+
 from .engine import kernel
-from .errors import GrammarValidationError
 from .grammar import Grammar, reduce
 
 
 class CompiledGrammar:
-    """The kernel's tables for a reduced grammar."""
+    """The kernel's tables for a reduced grammar and its empty-prefix chart,
+    which every state shares (charts are never mutated)."""
 
     def __init__(self, grammar: Grammar):
         self.tables = kernel.compile_tables(grammar)
+        self.initial = kernel.initial_chart(self.tables)
 
 
-def _ensure_reduced(g: Grammar) -> None:
-    # Viable-prefix = extensibility only holds for reduced grammars, so an
-    # unreduced grammar here is a caller bug, not a degraded mode.
-    reduced = reduce(g)
-    if len(reduced.productions) != len(g.productions):
-        raise GrammarValidationError(
-            "grammar must be reduced before recognition (call grammar.reduce)"
-        )
+# Grammar -> CompiledGrammar of its reduction. Equal grammars share an
+# entry, which lives as long as the grammar that keys it. Two threads that
+# miss at once both compile, and either entry is correct.
+_compiled = weakref.WeakKeyDictionary()
 
 
 class CharMask:
@@ -121,14 +121,13 @@ class PrefixState:
         return kernel.accepted(self.compiled.tables, self._columns)
 
 
-def init_state(g: Grammar | CompiledGrammar) -> PrefixState:
-    """Fresh state for the empty prefix; the grammar must be reduced."""
-    if isinstance(g, CompiledGrammar):
-        compiled = g
-    else:
-        _ensure_reduced(g)
-        compiled = CompiledGrammar(g)
-    return PrefixState(compiled, kernel.initial_chart(compiled.tables), 0)
+def init_state(g: Grammar) -> PrefixState:
+    """Fresh state for the empty prefix. The grammar is reduced and compiled
+    on first use; raises EmptyLanguageError if its language is empty."""
+    compiled = _compiled.get(g)
+    if compiled is None:
+        compiled = _compiled[g] = CompiledGrammar(reduce(g))
+    return PrefixState(compiled, compiled.initial, 0)
 
 
 def check_string(g: Grammar, text: str):

@@ -44,16 +44,19 @@ def compile_tables(grammar):
     syms = []
     lhs_at = []
     starts = [[] for _ in names]
+    pairs = {}  # one tuple per distinct scan pair: compiled tables are cached
     for p in grammar.productions:
         lhs = nt_ids[p.lhs]
         starts[lhs].append(len(syms))
         for sym in p.rhs:
             if sym.kind == NONTERMINAL:
                 syms.append(nt_ids[sym.name])
-            elif sym.kind == TERMINAL:
-                syms.extend((frozenset(c), False) for c in sym.text)
+                continue
+            if sym.kind == TERMINAL:
+                scans = [(frozenset(c), False) for c in sym.text]
             else:
-                syms.append((sym.chars, sym.negated))
+                scans = [(sym.chars, sym.negated)]
+            syms.extend(pairs.setdefault(s, s) for s in scans)
         syms.append(None)
         lhs_at.extend([lhs] * (len(syms) - len(lhs_at)))
     nullable_names = nullable_set(grammar)

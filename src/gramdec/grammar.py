@@ -73,6 +73,7 @@ class Grammar:
     def __init__(self, start: str, productions):
         self.start = start
         self.productions = tuple(productions)
+        self._hash = None  # computed on first use; the grammar never changes
         self._validate()
 
     def _validate(self):
@@ -132,7 +133,9 @@ class Grammar:
         )
 
     def __hash__(self):
-        return hash((self.start, self.productions))
+        if self._hash is None:
+            self._hash = hash((self.start, self.productions))
+        return self._hash
 
     def __repr__(self):
         return f"Grammar(start={self.start!r}, {len(self.productions)} productions)"
@@ -283,10 +286,7 @@ def parse_grammar(text: str) -> Grammar:
         raise GrammarSyntaxError("no rules in grammar", 1, 1)
     if start is None:
         start = first_lhs
-    try:
-        return Grammar(start, productions)
-    except GrammarValidationError as exc:
-        raise GrammarValidationError(str(exc)) from None
+    return Grammar(start, productions)
 
 
 def _escape_literal(text: str) -> str:

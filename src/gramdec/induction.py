@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .earley import PrefixState, init_state
+from .earley import init_state
 from .errors import InductionError, MtopParseError, TypeCheckError
 from .grammar import Grammar, Production, Symbol, parse_grammar, reduce
 
@@ -23,10 +23,7 @@ class SignatureTable:
     """Operator signatures plus charclass-based literal grammars per type."""
 
     signatures: dict = field(default_factory=dict)  # symbol -> (args, result)
-    literals: dict = field(default_factory=dict)  # type -> grammar snippet text
-    _literal_states: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    literals: dict = field(default_factory=dict)  # type -> snippet Grammar
 
     def add_signature(self, symbol, args, result):
         if symbol in self.signatures:
@@ -42,16 +39,7 @@ class SignatureTable:
             raise InductionError(
                 f"literal snippet for {type_name!r} starts at {g.start!r}"
             )
-        self.literals[type_name] = snippet
-
-    def literal_state(self, type_name) -> PrefixState:
-        """Empty-prefix recognizer state of a literal type's grammar, built
-        once per table (states are values, so sharing one is safe)."""
-        state = self._literal_states.get(type_name)
-        if state is None:
-            state = init_state(reduce(parse_grammar(self.literals[type_name])))
-            self._literal_states[type_name] = state
-        return state
+        self.literals[type_name] = g
 
 
 def load_signatures(text: str) -> SignatureTable:
@@ -87,38 +75,46 @@ def _check_literal(atom: str, type_name: str, sigs: SignatureTable):
         raise TypeCheckError(
             f"atom {atom!r} where non-literal type {type_name!r} expected"
         )
-    state, _ = sigs.literal_state(type_name).advance_string(atom)
+    state, _ = init_state(sigs.literals[type_name]).advance_string(atom)
     if state is None or not state.is_complete():
         raise TypeCheckError(f"ill-typed literal {atom!r} for type {type_name!r}")
 
 
 def type_check(program, sigs: SignatureTable, expected=None):
-    """Annotate every node of an s-expression program with its type."""
-    if isinstance(program, str):
-        if expected is None:
-            raise TypeCheckError(f"bare literal {program!r} at program root")
-        _check_literal(program, expected, sigs)
-        return TypedExpression(program, expected, [])
-    if not program or not isinstance(program[0], str):
-        raise TypeCheckError("application must start with an operator symbol")
-    symbol = program[0]
-    if symbol not in sigs.signatures:
-        raise TypeCheckError(f"unknown symbol {symbol!r}")
-    args, result = sigs.signatures[symbol]
-    actual = program[1:]
-    if len(actual) != len(args):
-        raise TypeCheckError(
-            f"{symbol!r} expects {len(args)} arguments, got {len(actual)}"
-        )
-    if expected is not None and result != expected:
-        raise TypeCheckError(
-            f"{symbol!r} yields {result!r} where {expected!r} expected"
-        )
-    children = [
-        type_check(child, sigs, expected=arg_type)
-        for child, arg_type in zip(actual, args)
-    ]
-    return TypedExpression(program, result, children)
+    """Annotate every node of an s-expression program with its type.
+
+    Nodes are checked in preorder from an explicit stack, so deep programs
+    stay off the Python call stack.
+    """
+    if isinstance(program, str) and expected is None:
+        raise TypeCheckError(f"bare literal {program!r} at program root")
+    root = TypedExpression(program, expected, [])
+    stack = [root]
+    while stack:
+        tx = stack.pop()  # its type is the expected one until checked
+        node = tx.node
+        if isinstance(node, str):
+            _check_literal(node, tx.type, sigs)
+            continue
+        if not node or not isinstance(node[0], str):
+            raise TypeCheckError("application must start with an operator symbol")
+        symbol = node[0]
+        if symbol not in sigs.signatures:
+            raise TypeCheckError(f"unknown symbol {symbol!r}")
+        args, result = sigs.signatures[symbol]
+        actual = node[1:]
+        if len(actual) != len(args):
+            raise TypeCheckError(
+                f"{symbol!r} expects {len(args)} arguments, got {len(actual)}"
+            )
+        if tx.type is not None and result != tx.type:
+            raise TypeCheckError(
+                f"{symbol!r} yields {result!r} where {tx.type!r} expected"
+            )
+        tx.type = result
+        tx.children = [TypedExpression(c, t, []) for c, t in zip(actual, args)]
+        stack.extend(reversed(tx.children))
+    return root
 
 
 _NT_SAFE = re.compile(r"[^A-Za-z0-9_]")
@@ -162,32 +158,31 @@ def induce_lispress_grammar(
             seen.add(key)
             productions.append(prod)
 
-    def visit(tx: TypedExpression):
-        if isinstance(tx.node, str):
-            if tx.type not in literal_types:
-                literal_types.append(tx.type)
-            return
-        symbol = tx.node[0]
-        lhs = _type_nt(tx.type, nt_names)
-        rhs = []
-        if not tx.children:
-            rhs.append(Symbol.t(f"({symbol})"))
-        else:
-            rhs.append(Symbol.t(f"({symbol} "))
-            for i, child in enumerate(tx.children):
-                if i:
-                    rhs.append(Symbol.t(" "))
-                rhs.append(Symbol.nt(_type_nt(child.type, nt_names)))
-            rhs.append(Symbol.t(")"))
-        add(Production(lhs, tuple(rhs)))
-        for child in tx.children:
-            visit(child)
-
     roots = []
-    for tx in programs:
-        if tx.type not in roots:
-            roots.append(tx.type)
-        visit(tx)
+    for root in programs:
+        if root.type not in roots:
+            roots.append(root.type)
+        stack = [root]  # preorder, off the Python call stack
+        while stack:
+            tx = stack.pop()
+            if isinstance(tx.node, str):
+                if tx.type not in literal_types:
+                    literal_types.append(tx.type)
+                continue
+            symbol = tx.node[0]
+            lhs = _type_nt(tx.type, nt_names)
+            rhs = []
+            if not tx.children:
+                rhs.append(Symbol.t(f"({symbol})"))
+            else:
+                rhs.append(Symbol.t(f"({symbol} "))
+                for i, child in enumerate(tx.children):
+                    if i:
+                        rhs.append(Symbol.t(" "))
+                    rhs.append(Symbol.nt(_type_nt(child.type, nt_names)))
+                rhs.append(Symbol.t(")"))
+            add(Production(lhs, tuple(rhs)))
+            stack.extend(reversed(tx.children))
     if root_type is None:
         if len(roots) != 1:
             raise InductionError(
@@ -200,7 +195,7 @@ def induce_lispress_grammar(
     for type_name in literal_types:
         if type_name not in sigs.literals:
             raise InductionError(f"no literal class declared for {type_name!r}")
-        snippet = parse_grammar(sigs.literals[type_name])
+        snippet = sigs.literals[type_name]
         lhs_alias = {type_name: _type_nt(type_name, nt_names)}
         for p in snippet.productions:
             lhs = lhs_alias.get(p.lhs, p.lhs)
@@ -228,63 +223,55 @@ class MtopTree:
     children: list  # MtopTree or raw token-span str
 
     def render(self) -> str:
-        parts = [f"[{self.label}"]
-        for child in self.children:
-            if isinstance(child, MtopTree):
-                parts.append(" " + child.render())
+        parts = []
+        stack = [self]  # None closes a node
+        while stack:
+            node = stack.pop()
+            if node is None:
+                parts.append("]")
+            elif isinstance(node, MtopTree):
+                parts.append(f" [{node.label}" if parts else f"[{node.label}")
+                stack.append(None)
+                stack.extend(reversed(node.children))
             else:
-                parts.append(" " + child)
-        return "".join(parts) + "]"
+                parts.append(" " + node)
+        return "".join(parts)
+
+
+_MTOP_BRACKET = re.compile(r"[\[\]]")
+_MTOP_LABEL = re.compile(r"(IN|SL):[A-Za-z0-9_]+")
 
 
 def parse_mtop(text: str) -> MtopTree:
     """Parse a bracketed representation like
-    [IN:Get_Message [SL:Type_Content video] [SL:Sender Atlas]]."""
+    [IN:Get_Message [SL:Type_Content video] [SL:Sender Atlas]].
 
-    pos = 0
-    n = len(text)
-
-    def parse_node():
-        nonlocal pos
-        assert text[pos] == "["
-        pos += 1
-        m = re.match(r"(IN|SL):[A-Za-z0-9_]+", text[pos:])
-        if not m:
-            raise MtopParseError(
-                f"label without IN:/SL: prefix at offset {pos}"
-            )
-        label = m.group(0)
-        pos += len(label)
-        children = []
-        span = []
-
-        def flush():
-            s = "".join(span).strip()
-            if s:
-                children.append(s)
-            span.clear()
-
-        while True:
-            if pos >= n:
-                raise MtopParseError("unbalanced brackets: missing ']'")
-            c = text[pos]
-            if c == "]":
-                flush()
-                pos += 1
-                return MtopTree(label, children)
-            if c == "[":
-                flush()
-                children.append(parse_node())
-            else:
-                span.append(c)
-                pos += 1
-
-    stripped = text.strip()
-    if not stripped.startswith("["):
+    Open nodes live on an explicit stack, so deep nesting stays off the
+    Python call stack.
+    """
+    if not text.strip().startswith("["):
         raise MtopParseError("input does not start with '['")
-    offset = text.index("[")
-    pos = offset
-    tree = parse_node()
+    pos = text.index("[")
+    open_nodes = []
+    while True:
+        bracket = _MTOP_BRACKET.search(text, pos)
+        if bracket is None:
+            raise MtopParseError("unbalanced brackets: missing ']'")
+        span = text[pos : bracket.start()].strip()
+        if span:
+            open_nodes[-1].children.append(span)
+        pos = bracket.end()
+        if bracket.group() == "[":
+            label = _MTOP_LABEL.match(text, pos)
+            if not label:
+                raise MtopParseError(f"label without IN:/SL: prefix at offset {pos}")
+            open_nodes.append(MtopTree(label.group(), []))
+            pos = label.end()
+            continue
+        tree = open_nodes.pop()
+        if not open_nodes:
+            break
+        open_nodes[-1].children.append(tree)
     if text[pos:].strip():
         raise MtopParseError("trailing garbage after tree")
     if not tree.label.startswith("IN:"):
@@ -305,7 +292,6 @@ def induce_mtop_grammar(trees) -> Grammar:
 
     productions = []
     seen = set()
-    roots = []
     uses_text = False
 
     def add(lhs, rhs):
@@ -318,29 +304,27 @@ def induce_mtop_grammar(trees) -> Grammar:
         prefix = "INTENT_" if label.startswith("IN:") else "SLOT_"
         return prefix + label.split(":", 1)[1]
 
-    def visit(node: MtopTree):
-        nonlocal uses_text
-        lhs = label_nt(node.label)
-        rhs = [Symbol.t(f"[{node.label}")]
-        for child in node.children:
-            rhs.append(Symbol.t(" "))
-            if isinstance(child, MtopTree):
-                rhs.append(Symbol.nt(label_nt(child.label)))
-            else:
-                rhs.append(Symbol.nt(_MTOP_TEXT))
-                uses_text = True
-        rhs.append(Symbol.t("]"))
-        add(lhs, rhs)
-        for child in node.children:
-            if isinstance(child, MtopTree):
-                visit(child)
-
     start_alts = []
     for tree in trees:
         nt = label_nt(tree.label)
         if nt not in start_alts:
             start_alts.append(nt)
-        visit(tree)
+        stack = [tree]  # preorder, off the Python call stack
+        while stack:
+            node = stack.pop()
+            rhs = [Symbol.t(f"[{node.label}")]
+            for child in node.children:
+                rhs.append(Symbol.t(" "))
+                if isinstance(child, MtopTree):
+                    rhs.append(Symbol.nt(label_nt(child.label)))
+                else:
+                    rhs.append(Symbol.nt(_MTOP_TEXT))
+                    uses_text = True
+            rhs.append(Symbol.t("]"))
+            add(label_nt(node.label), rhs)
+            stack.extend(
+                c for c in reversed(node.children) if isinstance(c, MtopTree)
+            )
 
     prods = [Production(_MTOP_START, (Symbol.nt(nt),)) for nt in start_alts]
     prods.extend(productions)

@@ -87,11 +87,23 @@ def parse_sexp(text: str):
 
 def canonical(n) -> str:
     """Whitespace-normalized form: single spaces, tight parentheses."""
-    if isinstance(n, str):
-        if not n:
-            raise SexpError("empty atom")
-        return n
-    return "(" + " ".join(canonical(c) for c in n) + ")"
+    parts = []
+    stack = [n]  # None closes a list; deep trees stay off the call stack
+    spaced = False  # whether the next atom or list follows a sibling
+    while stack:
+        node = stack.pop()
+        if node is None:
+            parts.append(")")
+        elif isinstance(node, str):
+            if not node:
+                raise SexpError("empty atom")
+            parts.append(" " + node if spaced else node)
+        else:
+            parts.append(" (" if spaced else "(")
+            stack.append(None)
+            stack.extend(reversed(node))
+        spaced = not isinstance(node, list)
+    return "".join(parts)
 
 
 def lispress_equal(a: str, b: str) -> bool:

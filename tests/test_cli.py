@@ -193,6 +193,42 @@ class TestInduceGrammar:
         assert code == 0 and "@start" in out
 
 
+    def test_deep_lispress(self, capsys, tmp_path):
+        gold = "(a " * 4999 + "(b)" + ")" * 4999
+        ds = tmp_path / "d.jsonl"
+        ds.write_text(json.dumps({"id": "1", "utterance": "u", "gold": gold, "portion": "train"}))
+        sigs = tmp_path / "s.jsonl"
+        sigs.write_text(
+            json.dumps({"symbol": "a", "args": ["Unit"], "result": "Unit"})
+            + "\n"
+            + json.dumps({"symbol": "b", "args": [], "result": "Unit"})
+        )
+        out_path = tmp_path / "induced.cfg"
+        code, _, err = run(
+            capsys, "induce-grammar", "--dataset", str(ds), "--format", "lispress",
+            "--signatures", str(sigs), "--out", str(out_path),
+        )
+        assert code == 0, err
+        code, out, _ = run(capsys, "check", "--grammar", str(out_path), "--input", gold)
+        assert code == 0 and out.strip() == "accepted"
+
+    def test_deep_mtop(self, capsys, tmp_path):
+        gold = "[IN:A " * 6000 + "x" + "]" * 6000
+        ds = tmp_path / "d.jsonl"
+        ds.write_text(json.dumps({"id": "1", "utterance": "u", "gold": gold, "portion": "train"}))
+        out_path = tmp_path / "induced.cfg"
+        code, _, err = run(
+            capsys, "induce-grammar", "--dataset", str(ds), "--format", "mtop",
+            "--out", str(out_path),
+        )
+        assert code == 0, err
+        # the induced recursion accepts any depth; a shallow member keeps the check fast
+        code, out, _ = run(
+            capsys, "check", "--grammar", str(out_path), "--input", "[IN:A [IN:A y z]]"
+        )
+        assert code == 0 and out.strip() == "accepted"
+
+
 class TestSpecializeSql:
     def test_specialize_then_check(self, capsys, tmp_path):
         schema = tmp_path / "schema.json"
@@ -287,6 +323,70 @@ class TestDecode:
             str(cfg),
         )
         assert code == 0 and json.loads(out)
+
+
+class TestConfig:
+    def test_value_for_flag_with_default(self, capsys, tmp_path, grammar_file, vocab_file):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("[0, 1, 3]\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ngram-corpus": str(corpus), "beam": 1}))
+        argv = ["decode", "--grammar", grammar_file, "--vocab", vocab_file, "--config", str(cfg)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(json.loads(out)) == 1  # greedy: one hypothesis
+        code, out, _ = run(capsys, *argv, "--beam", "5")
+        assert code == 0 and len(json.loads(out)) > 1
+
+    def test_explicit_falsy_flag_wins(self, capsys, tmp_path):
+        ds = write_dataset(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 7}))
+        code, out, _ = run(capsys, "make-splits", "--dataset", ds, "--config", str(cfg))
+        assert code == 0 and json.loads(out)["seed"] == 7
+        code, out, _ = run(
+            capsys, "make-splits", "--dataset", ds, "--seed", "0", "--config", str(cfg)
+        )
+        assert code == 0 and json.loads(out)["seed"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        pytest.param(["decode", "--vocab", "{v}", "--grammar", "{g}", "--beam", "0"], 1, id="beam-0"),
+        pytest.param(
+            ["decode", "--vocab", "{v}", "--grammar", "{g}", "--max-tokens", "0"], 1, id="max-tokens-0"
+        ),
+        pytest.param(
+            ["decode", "--vocab", "{v}", "--grammar", "{g}", "--ngram-order", "9"], 1, id="ngram-order-9"
+        ),
+        pytest.param(["decode", "--vocab", "{v}", "--ngram-corpus", "{v}"], 1, id="no-grammar"),
+        pytest.param(["decode", "--vocab", "{v}", "--config", "{cfg}"], 1, id="config-beam-0"),
+        pytest.param(
+            ["build-prompt", "--dataset", "{v}", "--target", "t", "--context-mode", "bogus"],
+            1,
+            id="context-mode-bogus",
+        ),
+        pytest.param(
+            ["build-prompt", "--dataset", "{v}", "--target", "t", "--db-values"], 1, id="db-values-no-sql"
+        ),
+        pytest.param(["check", "--grammar", "{latin1}", "--input", "x"], 2, id="not-utf8"),
+        pytest.param(["check", "--grammar", "{dir}", "--input", "x"], 2, id="directory"),
+    ],
+)
+def test_bad_input_is_a_typed_error(capsys, tmp_path, grammar_file, vocab_file, argv, code):
+    paths = {
+        "g": grammar_file,
+        "v": vocab_file,
+        "cfg": tmp_path / "cfg.json",
+        "latin1": tmp_path / "latin1.cfg",
+        "dir": tmp_path,
+    }
+    paths["cfg"].write_text(json.dumps({"beam": 0, "grammar": grammar_file}))
+    paths["latin1"].write_bytes('S -> "\xe9"'.encode("latin-1"))
+    got, _, err = run(capsys, *[a.format(**paths) for a in argv])
+    assert got == code and err.startswith("error: ")
+    if code == 2:
+        assert str(paths[argv[2].strip("{}")]) in err
 
 
 def write_dataset(tmp_path, n_train=1600, n_dev=200, n_test=400):

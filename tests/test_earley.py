@@ -1,11 +1,15 @@
+import weakref
 from pathlib import Path
 
 import pytest
 
+from gramdec import earley
+from gramdec.decoder import DecodeConfig, decode, train_ngram
 from gramdec.earley import CharMask, check_string, init_state
 from gramdec.engine import kernel
-from gramdec.errors import GrammarValidationError
-from gramdec.grammar import parse_grammar, reduce
+from gramdec.errors import EmptyLanguageError
+from gramdec.grammar import Grammar, Production, Symbol, parse_grammar, reduce
+from gramdec.tokens import Vocabulary
 
 from helpers import prefixes_of, random_grammars, saturated_prefixes
 
@@ -35,10 +39,66 @@ class TestInit:
         firsts = {w[0] for w in enumerate_language(ANBN, 6) if w}
         assert init_state(ANBN).allowed_next_chars() == firsts == {"a"}
 
-    def test_requires_reduced_grammar(self):
-        g = parse_grammar('S -> "a"\nX -> "b"')  # X unreachable
-        with pytest.raises(GrammarValidationError):
-            init_state(g)
+    def test_unreduced_grammar_recognizes_like_its_reduction(self):
+        checked = 0
+        for g, _ in random_grammars(30, seed=83, max_lang=400):
+            noisy = Grammar(
+                g.start,
+                g.productions
+                + (
+                    Production(g.start, (Symbol.t("b"), Symbol.nt("Loop"))),
+                    Production("Loop", (Symbol.t("c"), Symbol.nt("Loop"))),  # unproductive
+                    Production("Unreached", (Symbol.t("a"),)),
+                ),
+            )
+            frontier = [("", init_state(noisy), init_state(reduce(noisy)))]
+            while frontier:
+                word, s, r = frontier.pop()
+                assert check_string(noisy, word) == check_string(reduce(noisy), word)
+                assert s.allowed_next_chars() == r.allowed_next_chars(), (noisy, word)
+                if len(word) == 4:
+                    continue
+                for c in _grammar_alphabet(noisy):
+                    s2, r2 = s.advance_char(c), r.advance_char(c)
+                    assert (s2 is None) == (r2 is None), (noisy, word + c)
+                    if s2 is not None:
+                        frontier.append((word + c, s2, r2))
+            checked += 1
+        assert checked == 30
+
+    def test_empty_language(self):
+        with pytest.raises(EmptyLanguageError):
+            init_state(parse_grammar('S -> "a" S'))
+
+
+class TestCompileCache:
+    def test_one_compile_per_distinct_grammar(self, monkeypatch):
+        compiled = []
+
+        class Counting(earley.CompiledGrammar):
+            def __init__(self, grammar):
+                compiled.append(grammar)
+                super().__init__(grammar)
+
+        monkeypatch.setattr(earley, "CompiledGrammar", Counting)
+        text = 'S -> "q" S "r" | "qr"'  # built by no other test: the cache is process-wide
+        g = parse_grammar(text)
+        vocab = Vocabulary(["q", "r", "qr", ""], eos_id=3)
+        scorer = train_ngram([[0, 1, 3]], order=2, vocab_size=4)
+        cfg = DecodeConfig(beam_size=2, max_tokens=6)
+        for grammar in (g, g, parse_grammar(text)):
+            assert init_state(grammar).advance_string("qq")[0] is not None
+            assert check_string(grammar, "qqrr") == ("accepted", 4)
+            assert check_string(grammar, decode(scorer, grammar, vocab, cfg)[0].text)[0] == "accepted"
+        assert compiled == [g]
+
+    def test_entry_does_not_keep_its_grammar_alive(self):
+        g = parse_grammar('S -> "k" | "kk"')
+        state = init_state(g).advance_char("k")
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+        assert state.is_complete()  # states keep their own tables
 
 
 def test_one_kernel_module():

@@ -2,7 +2,7 @@ import pytest
 
 from gramdec.earley import check_string
 from gramdec.errors import InductionError, MtopParseError, TypeCheckError
-from gramdec import induction
+from gramdec import earley
 from gramdec.grammar import serialize_grammar
 from gramdec.induction import (
     MtopTree,
@@ -98,21 +98,35 @@ class TestTypeCheck:
             type_check(parse_sexp("2L"), sigs)
 
     def test_literal_grammars_compile_once_per_table(self, monkeypatch):
-        started = []
-        real = induction.init_state
+        compiled = []
 
-        def counting(g):
-            started.append(g.start)
-            return real(g)
+        class Counting(earley.CompiledGrammar):
+            def __init__(self, grammar):
+                compiled.append(grammar.start)
+                super().__init__(grammar)
 
-        monkeypatch.setattr(induction, "init_state", counting)
+        monkeypatch.setattr(earley, "CompiledGrammar", Counting)
+        # snippets that no other test builds, since the compile cache is
+        # shared by the whole process
+        sigs_text = SIGS_JSONL.replace("DIGITS", "NUMERAL").replace("CHARS", "RUN")
         programs = [PLAN, PLAN.replace("2L", "17L"), PLAN.replace("staff", "team")]
-        table = load_signatures(SIGS_JSONL)
+        table = load_signatures(sigs_text)
         for p in programs:
             type_check(parse_sexp(p), table)
-        assert sorted(started) == ["Long", "String"]
-        type_check(parse_sexp(PLAN), load_signatures(SIGS_JSONL))
-        assert sorted(started) == ["Long", "Long", "String", "String"]
+        assert sorted(compiled) == ["Long", "String"]
+        # an equal table reuses the compiled literal grammars of a live one
+        type_check(parse_sexp(PLAN), load_signatures(sigs_text))
+        assert sorted(compiled) == ["Long", "String"]
+
+    def test_deep_program(self):
+        table = SignatureTable()
+        table.add_signature("a", ["Unit"], "Unit")
+        table.add_signature("b", [], "Unit")
+        tree = parse_sexp("(a " * 4999 + "(b)" + ")" * 4999)
+        typed = type_check(tree, table)
+        assert typed.type == "Unit" and typed.children[0].children[0].type == "Unit"
+        g = induce_lispress_grammar([typed], table)
+        assert check_string(g, "(a (a (b)))")[0] == "accepted"
 
 
 class TestInduceLispress:
@@ -200,6 +214,14 @@ class TestParseMtop:
         tree = parse_mtop(text)
         assert tree.render() == text
         assert check_string(induce_mtop_grammar([tree]), text)[0] == "accepted"
+
+    @pytest.mark.parametrize("depth", [3000, 6000])
+    def test_deep_nesting_round_trips(self, depth):
+        text = "[IN:A [SL:B " * (depth // 2) + "x" + "]" * (depth // 2 * 2)
+        tree = parse_mtop(text)
+        assert tree.render() == text
+        g = induce_mtop_grammar([tree])
+        assert check_string(g, "[IN:A [SL:B [IN:A [SL:B y]]]]")[0] == "accepted"
 
     def test_unbalanced(self):
         with pytest.raises(MtopParseError):

@@ -59,6 +59,15 @@ class TestCanonical:
     def test_quoted_whitespace_preserved(self):
         assert canonical(parse_sexp('(x  "a  b")')) == '(x "a  b")'
 
+    def test_empty_lists_and_deep_nesting(self):
+        assert canonical([[], ["a", []]]) == "(() (a ()))"
+        deep = "(a " * 4999 + "(b)" + ")" * 4999
+        assert canonical(parse_sexp(deep.replace(" ", "  "))) == deep
+
+    def test_empty_atom(self):
+        with pytest.raises(SexpError):
+            canonical(["a", ""])
+
 
 def random_tree(rng, depth=0):
     if depth >= 3 or rng.random() < 0.4:
