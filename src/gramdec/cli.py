@@ -32,6 +32,7 @@ from .splits import (
     aggregate_low,
     evaluate,
     load_dataset_jsonl,
+    load_predictions_jsonl,
     make_splits,
 )
 from .sql import load_base_sql_grammar, load_schema_json, specialize_sql_grammar
@@ -54,13 +55,18 @@ def _read(path: str) -> str:
         raise GramdecError(f"cannot read {path}: {exc}") from None
 
 
-def _load_grammar(path: str):
-    return parse_grammar(_read(path))
+def _load(parse, path: str):
+    """parse(text of the file at path); a data error names the file."""
+    text = _read(path)
+    try:
+        return parse(text)
+    except GramdecError as exc:
+        raise GramdecError(f"{path}: {exc}") from None
 
 
 def _prefix_state(args):
     """The recognizer state after --prefix under --grammar."""
-    g = _load_grammar(args.grammar)
+    g = _load(parse_grammar, args.grammar)
     state, consumed = init_state(g).advance_string(args.prefix)
     if state is None:
         raise GramdecError(f"prefix rejected at offset {consumed}")
@@ -98,7 +104,7 @@ def _emit(args, payload: dict, plain: str):
 
 
 def _cmd_check(args):
-    verdict, offset = check_string(_load_grammar(args.grammar), args.input)
+    verdict, offset = check_string(_load(parse_grammar, args.grammar), args.input)
     if verdict == "accepted":
         _emit(args, {"verdict": verdict}, verdict)
         return 0
@@ -124,7 +130,7 @@ def _cmd_allowed_chars(args):
 
 def _cmd_allowed_tokens(args):
     state = _prefix_state(args)
-    vocab = load_vocab_jsonl(_read(args.vocab))
+    vocab = _load(load_vocab_jsonl, args.vocab)
     ids = sorted(allowed_tokens(state, build_trie(vocab)))
     payload = {"tokens": ids}
     if args.dense:
@@ -134,13 +140,13 @@ def _cmd_allowed_tokens(args):
 
 
 def _cmd_induce_grammar(args):
-    dataset = load_dataset_jsonl(_read(args.dataset))
+    dataset = _load(load_dataset_jsonl, args.dataset)
     if not dataset:
         raise GramdecError("empty dataset")
     if args.format == "lispress":
         if not args.signatures:
             raise UsageError("--signatures is required for lispress induction")
-        sigs = load_signatures(_read(args.signatures))
+        sigs = _load(load_signatures, args.signatures)
         typed = [type_check(parse_sexp(ex.gold), sigs) for ex in dataset]
         grammar = induce_lispress_grammar(typed, sigs, root_type=args.root_type)
     else:
@@ -150,14 +156,17 @@ def _cmd_induce_grammar(args):
 
 
 def _cmd_specialize_sql(args):
-    base = _load_grammar(args.grammar) if args.grammar else load_base_sql_grammar()
-    schema = load_schema_json(_read(args.schema))
+    if args.grammar:
+        base = _load(parse_grammar, args.grammar)
+    else:
+        base = load_base_sql_grammar()
+    schema = _load(load_schema_json, args.schema)
     return _write_grammar(args, specialize_sql_grammar(base, schema))
 
 
 def _cmd_decode(args):
-    vocab = load_vocab_jsonl(_read(args.vocab))
-    grammar = _load_grammar(args.grammar) if args.grammar else None
+    vocab = _load(load_vocab_jsonl, args.vocab)
+    grammar = _load(parse_grammar, args.grammar) if args.grammar else None
     constrained = True if args.constrained is None else args.constrained
     if constrained and grammar is None:
         raise UsageError("--grammar is required unless --unconstrained")
@@ -189,7 +198,7 @@ def _cmd_decode(args):
 
 
 def _cmd_make_splits(args):
-    dataset = load_dataset_jsonl(_read(args.dataset))
+    dataset = _load(load_dataset_jsonl, args.dataset)
     spec = make_splits(
         dataset,
         has_public_test=not args.no_public_test,
@@ -208,7 +217,7 @@ def _cmd_make_splits(args):
 def _cmd_build_prompt(args):
     if args.db_values and args.context_mode not in SQL_MODES:
         raise UsageError("--db-values needs an SQL context mode")
-    dataset = load_dataset_jsonl(_read(args.dataset))
+    dataset = _load(load_dataset_jsonl, args.dataset)
     mode = ContextMode(args.context_mode, with_values=args.db_values)
     pool = [render_input(ex, mode) for ex in dataset]
     target = args.target
@@ -233,29 +242,12 @@ def _cmd_evaluate(args):
     if not (args.aggregate or args.predictions and args.dataset):
         raise UsageError("evaluate needs --predictions/--dataset or --aggregate")
     if args.aggregate:
-        reports = []
-        for path in args.aggregate:
-            data = json.loads(_read(path))
-            reports.append(
-                MetricReport(
-                    data["metric"],
-                    data["accuracy"],
-                    data["n"],
-                    [(i, c) for i, c in data["correct"]],
-                    data.get("parse_failures", 0),
-                )
-            )
+        reports = [_load(MetricReport.from_json, path) for path in args.aggregate]
         mean, std = aggregate_low(reports)
         print(json.dumps({"mean": mean, "stddev": std}))
         return 0
-    gold = load_dataset_jsonl(_read(args.dataset))
-    predictions = []
-    for line in _read(args.predictions).splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        predictions.append((str(rec["id"]), rec["prediction"]))
+    gold = _load(load_dataset_jsonl, args.dataset)
+    predictions = _load(load_predictions_jsonl, args.predictions)
     report = evaluate(predictions, gold, args.metric)
     text = report.to_json()
     if args.out:

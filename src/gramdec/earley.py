@@ -1,8 +1,10 @@
 """Character-incremental Earley recognition.
 
-A PrefixState tracks the chart after consuming a character prefix. States
-are values: advancing returns a fresh state and never mutates the source,
-so beam-search branches can fork freely. A prefix survives exactly when it
+A PrefixState holds the frontier column of the chart after consuming a
+character prefix; earlier columns stay reachable through the origins of
+its items. States are values: advancing builds one new column, never
+mutates or copies the earlier ones, and returns a fresh state, so
+beam-search branches can fork freely. A prefix survives exactly when it
 extends to some member of the language: recognition runs on the reduced
 grammar, which this module builds and compiles once per grammar.
 """
@@ -16,12 +18,12 @@ from .grammar import Grammar, reduce
 
 
 class CompiledGrammar:
-    """The kernel's tables for a reduced grammar and its empty-prefix chart,
-    which every state shares (charts are never mutated)."""
+    """The kernel's tables for a reduced grammar and its empty-prefix
+    column, which every state shares (columns are never mutated)."""
 
     def __init__(self, grammar: Grammar):
         self.tables = kernel.compile_tables(grammar)
-        self.initial = kernel.initial_chart(self.tables)
+        self.initial = kernel.initial_column(self.tables)
 
 
 # Grammar -> CompiledGrammar of its reduction. Equal grammars share an
@@ -85,23 +87,24 @@ class CharMask:
 
 
 class PrefixState:
-    """Earley chart state after consuming a character prefix."""
+    """Earley recognizer state after consuming a character prefix: the
+    frontier column and the number of characters consumed."""
 
-    __slots__ = ("compiled", "_columns", "consumed")
+    __slots__ = ("compiled", "_column", "consumed")
 
-    def __init__(self, compiled: CompiledGrammar, columns, consumed: int):
+    def __init__(self, compiled: CompiledGrammar, column, consumed: int):
         self.compiled = compiled
-        self._columns = columns
+        self._column = column
         self.consumed = consumed
 
     def advance_char(self, c: str) -> "PrefixState | None":
         """New state after one character, or None if the prefix dies."""
         if len(c) != 1:
             raise ValueError("advance_char takes exactly one character")
-        columns = kernel.advance(self.compiled.tables, self._columns, c)
-        if columns is None:
+        column = kernel.advance(self.compiled.tables, self._column, c)
+        if column is None:
             return None
-        return PrefixState(self.compiled, columns, self.consumed + 1)
+        return PrefixState(self.compiled, column, self.consumed + 1)
 
     def advance_string(self, s: str) -> "tuple[PrefixState | None, int]":
         """Advance over each character; returns (state or None, chars consumed)."""
@@ -114,11 +117,12 @@ class PrefixState:
         return state, len(s)
 
     def allowed_next_chars(self) -> CharMask:
-        positive, negated = kernel.next_chars(self.compiled.tables, self._columns)
+        positive, negated = kernel.next_chars(self.compiled.tables, self._column)
         return CharMask(positive, negated)
 
     def is_complete(self) -> bool:
-        return kernel.accepted(self.compiled.tables, self._columns)
+        compiled = self.compiled
+        return kernel.accepted(compiled.tables, compiled.initial, self._column)
 
 
 def init_state(g: Grammar) -> PrefixState:

@@ -1,7 +1,7 @@
 """Chart engine for character-incremental Earley recognition.
 
 This module is the hot kernel and the only one that knows the table format:
-`compile_tables` builds it and the chart functions read it.
+`compile_tables` builds it and the column functions read it.
 
 Data layout
 -----------
@@ -26,11 +26,15 @@ A grammar is compiled by `compile_tables` into a tables tuple:
     start    : int                 start nonterminal id
 
 A position numbers one dotted rule: the dot sits before `syms[pos]`, and
-moving it over that symbol is `pos + 1`. An item is a tuple (pos, origin).
-A column is a pair (items_list, items_set); a chart is a list of columns,
-one per consumed character plus column zero. Columns are frozen once built:
-advancing shares the earlier columns and appends a fresh one, which makes
-forked states branch-safe by construction.
+moving it over that symbol is `pos + 1`. A `Column` holds the closed items
+after one consumed character; the initial column holds those of the empty
+prefix. An item is a tuple (pos, origin): origin is the earlier Column the
+item started in, or None when it started in the column that holds it. So a
+column refers only to older columns, never to itself, and a recognizer
+state needs only its frontier column: the earlier ones stay reachable
+through origins and are freed by reference counting once nothing points at
+them. Columns are frozen once closed, so forked states are branch-safe by
+construction, and advancing builds one new column without copying any.
 """
 
 from ..grammar import NONTERMINAL, TERMINAL, nullable_set
@@ -64,10 +68,20 @@ def compile_tables(grammar):
     return (syms, lhs_at, starts, nullable, nt_ids[grammar.start])
 
 
-def _close(tables, columns, col_index):
-    """Close the newest column under predict and complete (nullable-aware)."""
+class Column:
+    """The closed items of one prefix; frozen once `_close` returns."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self.items = items
+
+
+def _close(tables, column):
+    """Close a new column under predict and complete (nullable-aware)."""
     syms, lhs_at, starts, nullable, _ = tables
-    items, seen = columns[col_index]
+    items = column.items
+    seen = set(items)
     i = 0
     while i < len(items):
         pos, origin = items[i]
@@ -76,18 +90,18 @@ def _close(tables, columns, col_index):
         if sym is None:
             # Zero-span completions are covered by the nullable prediction
             # fix below; firing them here would miss late-added parents.
-            if origin == col_index:
+            if origin is None:
                 continue
             lhs = lhs_at[pos]
-            for p2, o2 in columns[origin][0]:
+            for p2, o2 in origin.items:
                 if syms[p2] == lhs:
-                    new = (p2 + 1, o2)
+                    new = (p2 + 1, o2 or origin)
                     if new not in seen:
                         seen.add(new)
                         items.append(new)
         elif type(sym) is int:
             for p in starts[sym]:
-                new = (p, col_index)
+                new = (p, None)
                 if new not in seen:
                     seen.add(new)
                     items.append(new)
@@ -96,48 +110,45 @@ def _close(tables, columns, col_index):
                 if new not in seen:
                     seen.add(new)
                     items.append(new)
+    return column
 
 
-def initial_chart(tables):
+def initial_column(tables):
     """Column zero: predicted closure of the start productions."""
     starts, start = tables[2], tables[4]
-    items = [(p, 0) for p in starts[start]]
-    columns = [(items, set(items))]
-    _close(tables, columns, 0)
-    return columns
+    return _close(tables, Column([(p, None) for p in starts[start]]))
 
 
-def advance(tables, columns, ch):
-    """Scan one character; returns the extended chart or None on reject.
+def advance(tables, column, ch):
+    """Scan one character; returns the new closed column or None on reject.
 
-    The input chart is never mutated: the result shares all existing
-    columns and appends one new closed column.
+    The input column is never mutated, and earlier columns are reached
+    only through the origins of the new column's items.
     """
     syms = tables[0]
     items = []
-    for pos, origin in columns[len(columns) - 1][0]:
+    for pos, origin in column.items:
         sym = syms[pos]
         if type(sym) is tuple and (ch in sym[0]) != sym[1]:
             # Distinct frontier items scan to distinct items.
-            items.append((pos + 1, origin))
+            items.append((pos + 1, origin or column))
     if not items:
         return None
-    new_columns = list(columns)
-    new_columns.append((items, set(items)))
-    _close(tables, new_columns, len(new_columns) - 1)
-    return new_columns
+    return _close(tables, Column(items))
 
 
-def accepted(tables, columns):
-    """Whether the consumed prefix is a full member of the language."""
+def accepted(tables, initial, column):
+    """Whether the prefix that ends at `column` is a full member of the
+    language whose initial column is `initial`."""
     syms, lhs_at, _, _, start = tables
-    for pos, origin in columns[len(columns) - 1][0]:
-        if origin == 0 and syms[pos] is None and lhs_at[pos] == start:
-            return True
+    for pos, origin in column.items:
+        if syms[pos] is None and lhs_at[pos] == start:
+            if (origin or column) is initial:
+                return True
     return False
 
 
-def next_chars(tables, columns):
+def next_chars(tables, column):
     """Legal next characters, read off the frontier's scan symbols.
 
     Returns (positive, negated_classes): a set of explicitly allowed
@@ -147,7 +158,7 @@ def next_chars(tables, columns):
     syms = tables[0]
     positive = set()
     negated = []
-    for pos, _ in columns[len(columns) - 1][0]:
+    for pos, _ in column.items:
         sym = syms[pos]
         if type(sym) is tuple:
             if sym[1]:

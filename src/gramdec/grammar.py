@@ -249,13 +249,14 @@ def parse_grammar(text: str) -> Grammar:
     rules ``Name -> item item ...`` where an item is a quoted literal, a
     ``[...]``/``[^...]`` character class, or a bare nonterminal identifier.
     ``|`` separates alternatives on one line. The first rule's lhs is the
-    start symbol unless ``@start`` overrides it.
+    start symbol unless ``@start`` overrides it. Lines end at ``\n`` only,
+    so literals and classes may hold any other character.
     """
     productions = []
     start = None
     start_directive_seen = False
     first_lhs = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -9,13 +9,13 @@ open-class TEXT nonterminal for raw token spans).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
 from .earley import init_state
 from .errors import InductionError, MtopParseError, TypeCheckError
 from .grammar import Grammar, Production, Symbol, parse_grammar, reduce
+from .jsonl import json_objects
 
 
 @dataclass
@@ -46,21 +46,29 @@ def load_signatures(text: str) -> SignatureTable:
     """Parse the JSONL sidecar: {"symbol","args","result"} and
     {"literal","class"} records."""
     table = SignatureTable()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InductionError(f"bad JSON on line {lineno}: {exc}") from None
+    for lineno, rec in json_objects(text, InductionError):
         if "symbol" in rec:
-            table.add_signature(rec["symbol"], rec["args"], rec["result"])
+            symbol, args, result = rec["symbol"], rec.get("args"), rec.get("result")
+            if not isinstance(args, list) or not _strings(symbol, result, *args):
+                raise InductionError(
+                    f"signature on line {lineno} needs a string symbol and"
+                    " result and a list of string args"
+                )
+            table.add_signature(symbol, args, result)
         elif "literal" in rec:
-            table.add_literal(rec["literal"], rec["class"])
+            type_name, snippet = rec["literal"], rec.get("class")
+            if not _strings(type_name, snippet):
+                raise InductionError(
+                    f"literal on line {lineno} needs a string literal and class"
+                )
+            table.add_literal(type_name, snippet)
         else:
             raise InductionError(f"unrecognized record on line {lineno}")
     return table
+
+
+def _strings(*values) -> bool:
+    return all(isinstance(v, str) for v in values)
 
 
 @dataclass

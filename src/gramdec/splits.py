@@ -15,10 +15,13 @@ from dataclasses import dataclass, field
 from .errors import (
     EvaluationError,
     MetricNotSupportedError,
+    SchemaError,
     SexpError,
     SplitError,
 )
+from .jsonl import json_objects
 from .lispress import lispress_equal
+from .sql import schema_from_json
 
 LOW_TRAIN_SIZE = 500
 LOW_DEV_SIZE = 50
@@ -44,36 +47,62 @@ class DatasetExample:
     portion: str = ""  # "train" | "dev" | "test"
 
 
+_TEXT_FIELDS = (
+    "utterance",
+    "gold",
+    "dialogue_id",
+    "last_user_utt",
+    "last_agent_utt",
+    "portion",
+)
+
+
 def load_dataset_jsonl(text: str):
     """Parse dataset JSONL records into DatasetExamples."""
-    from .sql import load_schema_json
-
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SplitError(f"bad JSON on line {lineno}: {exc}") from None
+    for lineno, rec in json_objects(text, SplitError):
+        if "id" not in rec:
+            raise SplitError(f"record on line {lineno} has no id")
+        texts = {k: rec.get(k, "") for k in _TEXT_FIELDS}
+        turn_index = rec.get("turn_index", 0)
+        prior = rec.get("prior_interactions", [])
+        if (
+            not all(isinstance(v, str) for v in texts.values())
+            or type(turn_index) is not int
+            or not isinstance(prior, list)
+            or not all(isinstance(p, str) for p in prior)
+        ):
+            raise SplitError(
+                f"record on line {lineno} needs string {', '.join(_TEXT_FIELDS)},"
+                " an integer turn_index and a list of string prior_interactions"
+            )
         schema = rec.get("schema")
-        if isinstance(schema, dict):
-            schema = load_schema_json(json.dumps(schema))
+        if schema is not None:
+            try:
+                schema = schema_from_json(schema)
+            except SchemaError as exc:
+                raise SplitError(f"schema on line {lineno}: {exc}") from None
         out.append(
             DatasetExample(
                 id=str(rec["id"]),
-                utterance=rec.get("utterance", ""),
-                gold=rec.get("gold", ""),
-                dialogue_id=rec.get("dialogue_id", ""),
-                turn_index=rec.get("turn_index", 0),
-                last_user_utt=rec.get("last_user_utt", ""),
-                last_agent_utt=rec.get("last_agent_utt", ""),
-                prior_interactions=list(rec.get("prior_interactions", [])),
+                turn_index=turn_index,
+                prior_interactions=prior,
                 schema=schema,
-                portion=rec.get("portion", ""),
+                **texts,
             )
         )
+    return out
+
+
+def load_predictions_jsonl(text: str):
+    """(id, prediction) pairs from {"id", "prediction"} JSONL records."""
+    out = []
+    for lineno, rec in json_objects(text, EvaluationError):
+        if "id" not in rec or not isinstance(rec.get("prediction"), str):
+            raise EvaluationError(
+                f"record on line {lineno} needs an id and a string prediction"
+            )
+        out.append((str(rec["id"]), rec["prediction"]))
     return out
 
 
@@ -255,6 +284,24 @@ class MetricReport:
             },
             indent=2,
         ) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str) -> "MetricReport":
+        """Read back what `to_json` writes."""
+        try:
+            data = json.loads(text)
+            report = cls(
+                data["metric"],
+                data["accuracy"],
+                data["n"],
+                [(i, c) for i, c in data["correct"]],
+                data.get("parse_failures", 0),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise EvaluationError(f"malformed metric report: {exc}") from None
+        if type(report.accuracy) not in (int, float):
+            raise EvaluationError("malformed metric report: accuracy is not a number")
+        return report
 
 
 _UNSUPPORTED = {"denotation", "denotation_match", "execution", "test_suite_execution"}

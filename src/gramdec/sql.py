@@ -37,17 +37,19 @@ class DbSchema:
     tables: list
 
     def __post_init__(self):
+        for t in self.tables:
+            if not t.name or not isinstance(t.name, str):
+                raise SchemaError("table name must be a non-empty string")
+            cols = [c.name for c in t.columns]
+            if any(not c or not isinstance(c, str) for c in cols):
+                raise SchemaError(
+                    f"column names in table {t.name!r} must be non-empty strings"
+                )
+            if len(set(cols)) != len(cols):
+                raise SchemaError(f"duplicate column names in table {t.name!r}")
         names = [t.name for t in self.tables]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate table names")
-        for t in self.tables:
-            if not t.name:
-                raise SchemaError("empty table name")
-            cols = [c.name for c in t.columns]
-            if len(set(cols)) != len(cols):
-                raise SchemaError(f"duplicate column names in table {t.name!r}")
-            if any(not c for c in cols):
-                raise SchemaError(f"empty column name in table {t.name!r}")
 
 
 def load_schema_json(text: str) -> DbSchema:
@@ -58,6 +60,13 @@ def load_schema_json(text: str) -> DbSchema:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"bad schema JSON: {exc}") from None
+    return schema_from_json(data)
+
+
+def schema_from_json(data) -> DbSchema:
+    """The DbSchema of an already parsed schema record."""
+    if not isinstance(data, dict):
+        raise SchemaError("schema is not a JSON object")
     try:
         tables = [
             DbTable(

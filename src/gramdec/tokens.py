@@ -13,6 +13,7 @@ import json
 
 from .earley import PrefixState
 from .errors import DisallowedTokenError, VocabularyError
+from .jsonl import json_objects
 
 
 class Vocabulary:
@@ -58,20 +59,20 @@ def load_vocab_jsonl(text: str) -> Vocabulary:
     followed by one {"id": int, "text": str} record per token."""
     eos_id = None
     pairs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise VocabularyError(f"bad JSON on line {lineno}: {exc}") from None
+    for lineno, rec in json_objects(text, VocabularyError):
         if "eos" in rec:
             if eos_id is not None:
                 raise VocabularyError("duplicate eos header")
             eos_id = rec["eos"]
+            if type(eos_id) is not int:
+                raise VocabularyError(f"eos on line {lineno} is not an integer")
         elif "id" in rec and "text" in rec:
-            pairs.append((rec["id"], rec["text"]))
+            tid, tok = rec["id"], rec["text"]
+            if type(tid) is not int or not isinstance(tok, str):
+                raise VocabularyError(
+                    f"record on line {lineno} needs an integer id and a string text"
+                )
+            pairs.append((tid, tok))
         else:
             raise VocabularyError(f"unrecognized record on line {lineno}")
     if eos_id is None:

@@ -349,6 +349,23 @@ class TestConfig:
         assert code == 0 and json.loads(out)["seed"] == 0
 
 
+# files for the malformed-record cases (and one good dataset beside them);
+# a placeholder "{name}" in argv is the path of that file
+BAD_FILES = {
+    "vocab_int": '{"eos": 0}\n5\n',
+    "vocab_text_int": '{"eos": 1}\n{"id": 0, "text": 5}\n{"id": 1, "text": ""}\n',
+    "vocab_id_str": '{"eos": 1}\n{"id": "0", "text": "a"}\n{"id": 1, "text": ""}\n',
+    "dataset_list": "[1, 2]\n",
+    "dataset_schema_str": json.dumps({"id": "a", "utterance": "u", "gold": "g", "schema": "abc"}),
+    "dataset_gold_int": json.dumps({"id": "a", "utterance": "u", "gold": 5}),
+    "dataset_ok": json.dumps({"id": "a", "utterance": "u", "gold": "(now)"}),
+    "sigs_int": "7\n",
+    "sigs_args_str": json.dumps({"symbol": "now", "args": "ab", "result": "Datetime"}),
+    "report_correct_int": json.dumps({"metric": "exact", "accuracy": 1.0, "n": 1, "correct": [1]}),
+    "predictions_list": '["a", "(now)"]\n',
+}
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [
@@ -371,6 +388,42 @@ class TestConfig:
         ),
         pytest.param(["check", "--grammar", "{latin1}", "--input", "x"], 2, id="not-utf8"),
         pytest.param(["check", "--grammar", "{dir}", "--input", "x"], 2, id="directory"),
+        pytest.param(["allowed-tokens", "--vocab", "{vocab_int}", "--grammar", "{g}"], 2, id="vocab-int"),
+        pytest.param(
+            ["allowed-tokens", "--vocab", "{vocab_text_int}", "--grammar", "{g}"], 2, id="vocab-text-int"
+        ),
+        pytest.param(
+            ["allowed-tokens", "--vocab", "{vocab_id_str}", "--grammar", "{g}"], 2, id="vocab-id-str"
+        ),
+        pytest.param(["make-splits", "--dataset", "{dataset_list}"], 2, id="dataset-list"),
+        pytest.param(
+            ["build-prompt", "--dataset", "{dataset_schema_str}", "--target", "t", "--context-mode", "sql_none"],
+            2,
+            id="dataset-schema-str",
+        ),
+        pytest.param(
+            ["induce-grammar", "--dataset", "{dataset_gold_int}", "--format", "mtop"], 2, id="dataset-gold-int"
+        ),
+        pytest.param(
+            ["induce-grammar", "--signatures", "{sigs_int}", "--dataset", "{dataset_ok}", "--format", "lispress"],
+            2,
+            id="signatures-int",
+        ),
+        pytest.param(
+            ["induce-grammar", "--signatures", "{sigs_args_str}", "--dataset", "{dataset_ok}", "--format", "lispress"],
+            2,
+            id="signatures-args-str",
+        ),
+        pytest.param(
+            ["evaluate", "--aggregate", "{report_correct_int}", "{report_correct_int}", "{report_correct_int}"],
+            2,
+            id="report-correct-int",
+        ),
+        pytest.param(
+            ["evaluate", "--predictions", "{predictions_list}", "--dataset", "{dataset_ok}"],
+            2,
+            id="predictions-list",
+        ),
     ],
 )
 def test_bad_input_is_a_typed_error(capsys, tmp_path, grammar_file, vocab_file, argv, code):
@@ -383,6 +436,9 @@ def test_bad_input_is_a_typed_error(capsys, tmp_path, grammar_file, vocab_file, 
     }
     paths["cfg"].write_text(json.dumps({"beam": 0, "grammar": grammar_file}))
     paths["latin1"].write_bytes('S -> "\xe9"'.encode("latin-1"))
+    for name, text in BAD_FILES.items():
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text(text)
     got, _, err = run(capsys, *[a.format(**paths) for a in argv])
     assert got == code and err.startswith("error: ")
     if code == 2:

@@ -1,3 +1,5 @@
+import gc
+import time
 import weakref
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from gramdec.earley import CharMask, check_string, init_state
 from gramdec.engine import kernel
 from gramdec.errors import EmptyLanguageError
 from gramdec.grammar import Grammar, Production, Symbol, parse_grammar, reduce
+from gramdec.induction import induce_mtop_grammar, parse_mtop
 from gramdec.tokens import Vocabulary
 
 from helpers import prefixes_of, random_grammars, saturated_prefixes
@@ -217,6 +220,37 @@ class TestForkIndependence:
         advance_all(fork_a, "abbb")
         assert fork_b.advance_char("b").is_complete()
         assert s.allowed_next_chars() == {"a", "b"}
+
+
+class TestColumns:
+    def test_advance_cost_does_not_grow_with_the_prefix(self):
+        g = induce_mtop_grammar([parse_mtop("[IN:A [IN:A x]]")])
+        step = "[IN:A " * 100
+
+        def best_of_3(depth):
+            state, _ = init_state(g).advance_string("[IN:A " * depth)
+            times = []
+            for _ in range(3):
+                t = time.perf_counter()
+                assert state.advance_string(step)[0] is not None
+                times.append(time.perf_counter() - t)
+            return min(times)
+
+        shallow, deep = best_of_3(100), best_of_3(5000)
+        assert deep < 5 * shallow, (shallow, deep)
+
+    def test_columns_form_no_reference_cycles(self):
+        # refcounting alone frees a dropped state's columns
+        g = parse_grammar('S -> "(" S ")" S | ""')
+        gc.collect()
+        gc.disable()
+        try:
+            state, _ = init_state(g).advance_string("(()())" * 50)
+            assert state.is_complete()
+            del state
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCharMask:

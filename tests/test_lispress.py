@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramdec.errors import SexpError
 from gramdec.lispress import canonical, lispress_equal, parse_sexp
@@ -102,6 +104,24 @@ class TestRoundTrip:
             tree = random_tree(rng)
             text = canonical(tree)
             assert canonical(parse_sexp(sprinkle_whitespace(rng, text))) == text
+
+
+_BARE = st.text(st.characters(exclude_categories=("Cs",), exclude_characters='() \t\n\r"'), min_size=1)
+_QUOTED = st.lists(
+    st.one_of(
+        st.characters(exclude_categories=("Cs",), exclude_characters='"\\'),
+        st.sampled_from(['\\"', "\\\\"]),
+    )
+).map(lambda parts: '"' + "".join(parts) + '"')
+_TREES = st.recursive(_BARE | _QUOTED, lambda children: st.lists(children, max_size=4))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_TREES)
+def test_canonical_is_idempotent(tree):
+    text = canonical(tree)
+    assert canonical(parse_sexp(text)) == text
+    assert parse_sexp(text) == tree
 
 
 class TestEqual:

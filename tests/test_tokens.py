@@ -52,7 +52,7 @@ class TestVocabulary:
             Vocabulary.from_pairs([(0, "a"), (2, "b"), (3, "")], eos_id=3)
 
     def test_jsonl_round_trip(self):
-        v = make_vocab(["a", "ab", "über"])
+        v = make_vocab(["a", "ab", "über", "\u2028", "\x0c\r"])
         assert load_vocab_jsonl(dump_vocab_jsonl(v)).entries == v.entries
 
     def test_jsonl_requires_eos_header(self):
