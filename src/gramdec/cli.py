@@ -24,6 +24,7 @@ from .induction import (
     parse_mtop,
     type_check,
 )
+from .jsonl import json_lines
 from .lispress import parse_sexp
 from .prompting import DIALOGUE_MODES, SQL_MODES, ContextMode, PromptExample
 from .prompting import bm25_scores, build_prompt, render_input
@@ -62,6 +63,22 @@ def _load(parse, path: str):
         return parse(text)
     except GramdecError as exc:
         raise GramdecError(f"{path}: {exc}") from None
+
+
+def _ngram_corpus(text: str, vocab_size: int):
+    """The token-id lists of an n-gram corpus, one JSON list per line."""
+    corpus = []
+    for lineno, seq in json_lines(text, GramdecError):
+        if not isinstance(seq, list) or not all(
+            type(t) is int and 0 <= t < vocab_size for t in seq
+        ):
+            raise GramdecError(
+                f"line {lineno} is not a list of token ids in [0, {vocab_size})"
+            )
+        corpus.append(seq)
+    if not corpus:
+        raise GramdecError("no token-id lists")
+    return corpus
 
 
 def _prefix_state(args):
@@ -182,11 +199,7 @@ def _cmd_decode(args):
     else:
         if not args.ngram_corpus:
             raise UsageError("--ngram-corpus is required for the ngram scorer")
-        corpus = [
-            json.loads(line)
-            for line in _read(args.ngram_corpus).splitlines()
-            if line.strip()
-        ]
+        corpus = _load(lambda text: _ngram_corpus(text, vocab.size), args.ngram_corpus)
         scorer = train_ngram(corpus, args.ngram_order, vocab_size=vocab.size)
     results = decode(scorer, grammar, vocab, cfg, conditioning=args.input or "")
     payload = [{"text": r.text, "logprob": r.logprob} for r in results]
@@ -199,12 +212,7 @@ def _cmd_decode(args):
 
 def _cmd_make_splits(args):
     dataset = _load(load_dataset_jsonl, args.dataset)
-    spec = make_splits(
-        dataset,
-        has_public_test=not args.no_public_test,
-        seed=args.seed,
-        disjoint_low=not args.overlapping_low,
-    )
+    spec = make_splits(dataset, seed=args.seed)
     manifest = spec.to_manifest()
     if args.out:
         Path(args.out).write_text(manifest, encoding="utf-8")
@@ -335,8 +343,6 @@ def _build_parser():
     common(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-public-test", action="store_true")
-    p.add_argument("--overlapping-low", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_make_splits)
 

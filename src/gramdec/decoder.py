@@ -32,7 +32,6 @@ class DecodeConfig:
     beam_size: int = 5
     max_tokens: int = 128
     constrained: bool = True
-    length_normalize: bool = False
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -76,8 +75,7 @@ def decode(
 
     Ties on equal score break by lexicographic token-id order, then beam
     slot, so runs are deterministic. Scores are exact sums of the chosen
-    per-step log-scores (optionally length-normalized for the final
-    ranking only).
+    per-step log-scores.
     """
     if cfg.constrained:
         if grammar is None:
@@ -136,14 +134,8 @@ def decode(
         raise NoViableHypothesisError(
             "constrained beam emptied before any hypothesis finished"
         )
-
-    def final_score(h: Hypothesis):
-        if cfg.length_normalize and h.tokens:
-            return h.logprob / len(h.tokens)
-        return h.logprob
-
-    pool.sort(key=lambda h: (-final_score(h), h.tokens))
-    return [DecodeResult(vocab.detokenize(h.tokens), final_score(h), h.tokens) for h in pool]
+    pool.sort(key=lambda h: (-h.logprob, h.tokens))
+    return [DecodeResult(vocab.detokenize(h.tokens), h.logprob, h.tokens) for h in pool]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Character-incremental Earley recognition.
 
-A PrefixState holds the frontier column of the chart after consuming a
-character prefix; earlier columns stay reachable through the origins of
-its items. States are values: advancing builds one new column, never
-mutates or copies the earlier ones, and returns a fresh state, so
-beam-search branches can fork freely. A prefix survives exactly when it
+A PrefixState is the frontier column of the chart after consuming a
+character prefix: it holds that column's closed items, and the earlier
+columns are the states its items' origins point at. States are values:
+advancing builds one new state, never mutates or copies the earlier ones,
+so beam-search branches can fork freely. A prefix survives exactly when it
 extends to some member of the language: recognition runs on the reduced
 grammar, which this module builds and compiles once per grammar.
 """
@@ -18,12 +18,14 @@ from .grammar import Grammar, reduce
 
 
 class CompiledGrammar:
-    """The kernel's tables for a reduced grammar and its empty-prefix
-    column, which every state shares (columns are never mutated)."""
+    """A reduced grammar's empty-prefix state, which holds the kernel's
+    tables and which every state of the grammar shares (states are never
+    mutated). No state points back here, so once the grammar that keys
+    this entry is dropped, reference counting frees it."""
 
     def __init__(self, grammar: Grammar):
-        self.tables = kernel.compile_tables(grammar)
-        self.initial = kernel.initial_column(self.tables)
+        tables = kernel.compile_tables(grammar)
+        self.initial = PrefixState(tables, None, kernel.initial_items(tables))
 
 
 # Grammar -> CompiledGrammar of its reduction. Equal grammars share an
@@ -88,23 +90,24 @@ class CharMask:
 
 class PrefixState:
     """Earley recognizer state after consuming a character prefix: the
-    frontier column and the number of characters consumed."""
+    grammar's tables, the empty-prefix state (None on that state itself,
+    so no state refers to itself) and the frontier column's items."""
 
-    __slots__ = ("compiled", "_column", "consumed")
+    __slots__ = ("tables", "initial", "items")
 
-    def __init__(self, compiled: CompiledGrammar, column, consumed: int):
-        self.compiled = compiled
-        self._column = column
-        self.consumed = consumed
+    def __init__(self, tables, initial: "PrefixState | None", items):
+        self.tables = tables
+        self.initial = initial
+        self.items = items
 
     def advance_char(self, c: str) -> "PrefixState | None":
         """New state after one character, or None if the prefix dies."""
         if len(c) != 1:
             raise ValueError("advance_char takes exactly one character")
-        column = kernel.advance(self.compiled.tables, self._column, c)
-        if column is None:
+        items = kernel.advance(self.tables, self, c)
+        if items is None:
             return None
-        return PrefixState(self.compiled, column, self.consumed + 1)
+        return PrefixState(self.tables, self.initial or self, items)
 
     def advance_string(self, s: str) -> "tuple[PrefixState | None, int]":
         """Advance over each character; returns (state or None, chars consumed)."""
@@ -117,21 +120,21 @@ class PrefixState:
         return state, len(s)
 
     def allowed_next_chars(self) -> CharMask:
-        positive, negated = kernel.next_chars(self.compiled.tables, self._column)
+        positive, negated = kernel.next_chars(self.tables, self)
         return CharMask(positive, negated)
 
     def is_complete(self) -> bool:
-        compiled = self.compiled
-        return kernel.accepted(compiled.tables, compiled.initial, self._column)
+        return kernel.accepted(self.tables, self.initial or self, self)
 
 
 def init_state(g: Grammar) -> PrefixState:
-    """Fresh state for the empty prefix. The grammar is reduced and compiled
-    on first use; raises EmptyLanguageError if its language is empty."""
+    """The grammar's shared empty-prefix state. The grammar is reduced and
+    compiled on first use; raises EmptyLanguageError if its language is
+    empty."""
     compiled = _compiled.get(g)
     if compiled is None:
         compiled = _compiled[g] = CompiledGrammar(reduce(g))
-    return PrefixState(compiled, compiled.initial, 0)
+    return compiled.initial
 
 
 def check_string(g: Grammar, text: str):

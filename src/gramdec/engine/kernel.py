@@ -26,15 +26,16 @@ A grammar is compiled by `compile_tables` into a tables tuple:
     start    : int                 start nonterminal id
 
 A position numbers one dotted rule: the dot sits before `syms[pos]`, and
-moving it over that symbol is `pos + 1`. A `Column` holds the closed items
-after one consumed character; the initial column holds those of the empty
-prefix. An item is a tuple (pos, origin): origin is the earlier Column the
-item started in, or None when it started in the column that holds it. So a
-column refers only to older columns, never to itself, and a recognizer
-state needs only its frontier column: the earlier ones stay reachable
-through origins and are freed by reference counting once nothing points at
-them. Columns are frozen once closed, so forked states are branch-safe by
-construction, and advancing builds one new column without copying any.
+moving it over that symbol is `pos + 1`. A column is any object with an
+`items` attribute, the closed items after one character prefix; the
+recognizer's prefix states are its columns. The column functions read
+columns and return new item lists for the caller to wrap. An item is a
+tuple (pos, origin): origin is the earlier column the item started in, or
+None when it started in the column that holds it. So a column refers only
+to older columns, never to itself: earlier columns stay reachable through
+origins and are freed by reference counting once nothing points at them.
+Item lists are frozen once closed, so forked prefixes are branch-safe by
+construction, and advancing builds one new item list without copying any.
 """
 
 from ..grammar import NONTERMINAL, TERMINAL, nullable_set
@@ -68,19 +69,10 @@ def compile_tables(grammar):
     return (syms, lhs_at, starts, nullable, nt_ids[grammar.start])
 
 
-class Column:
-    """The closed items of one prefix; frozen once `_close` returns."""
-
-    __slots__ = ("items",)
-
-    def __init__(self, items):
-        self.items = items
-
-
-def _close(tables, column):
-    """Close a new column under predict and complete (nullable-aware)."""
+def _close(tables, items):
+    """Close a new column's item list under predict and complete
+    (nullable-aware); returns the list, extended in place."""
     syms, lhs_at, starts, nullable, _ = tables
-    items = column.items
     seen = set(items)
     i = 0
     while i < len(items):
@@ -110,20 +102,22 @@ def _close(tables, column):
                 if new not in seen:
                     seen.add(new)
                     items.append(new)
-    return column
+    return items
 
 
-def initial_column(tables):
-    """Column zero: predicted closure of the start productions."""
+def initial_items(tables):
+    """Items of the empty prefix: predicted closure of the start productions."""
     starts, start = tables[2], tables[4]
-    return _close(tables, Column([(p, None) for p in starts[start]]))
+    return _close(tables, [(p, None) for p in starts[start]])
 
 
 def advance(tables, column, ch):
-    """Scan one character; returns the new closed column or None on reject.
+    """Scan one character; returns the closed items of the column after
+    it, or None on reject.
 
-    The input column is never mutated, and earlier columns are reached
-    only through the origins of the new column's items.
+    The items of `column` are never mutated. The new items point at
+    `column` and earlier columns through their origins, so the caller's
+    object for the new column must not be `column` itself.
     """
     syms = tables[0]
     items = []
@@ -134,12 +128,12 @@ def advance(tables, column, ch):
             items.append((pos + 1, origin or column))
     if not items:
         return None
-    return _close(tables, Column(items))
+    return _close(tables, items)
 
 
 def accepted(tables, initial, column):
     """Whether the prefix that ends at `column` is a full member of the
-    language whose initial column is `initial`."""
+    language whose empty-prefix column is `initial`."""
     syms, lhs_at, _, _, start = tables
     for pos, origin in column.items:
         if syms[pos] is None and lhs_at[pos] == start:

@@ -5,21 +5,29 @@ from __future__ import annotations
 import json
 
 
-def json_objects(text: str, error):
-    """(line number, record) for each non-blank line of JSONL text.
+def json_lines(text: str, error):
+    """(line number, value) for each non-blank line of JSONL text.
 
     Lines end at "\n" only: JSON text may hold other line separators, such
     as U+2028, unescaped. Raises `error` naming the line when a line is not
-    a JSON object.
+    JSON.
     """
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            rec = json.loads(line)
+            value = json.loads(line)
         except json.JSONDecodeError as exc:
             raise error(f"bad JSON on line {lineno}: {exc}") from None
+        yield lineno, value
+
+
+def json_objects(text: str, error):
+    """(line number, record) for each non-blank line of JSONL text, as
+    `json_lines` reads it; raises `error` naming the line when a line is
+    not a JSON object."""
+    for lineno, rec in json_lines(text, error):
         if not isinstance(rec, dict):
             raise error(f"line {lineno} is not a JSON object")
         yield lineno, rec

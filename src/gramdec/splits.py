@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -160,21 +161,14 @@ def _sample_groups(groups, target, rng):
     return out
 
 
-def make_splits(
-    dataset,
-    has_public_test: bool = True,
-    seed: int = 0,
-    disjoint_low: bool = True,
-) -> SplitSpec:
+def make_splits(dataset, seed: int = 0) -> SplitSpec:
     """Carve the benchmark's split tiers out of a portioned dataset.
 
-    When the dataset has no public test portion, the dev portion becomes
-    the test pool and 10% of the train pool (by whole dialogues) becomes
-    the dev pool. The medium tier is omitted when train has fewer than
-    5000 examples.
+    When the dataset has no test portion, the dev portion becomes the test
+    pool and 10% of the train pool (by whole dialogues) becomes the dev
+    pool. The medium tier is omitted when train has fewer than 5000
+    examples.
     """
-    import random
-
     if not dataset:
         raise SplitError("empty dataset")
     pools = {"train": [], "dev": [], "test": []}
@@ -186,18 +180,15 @@ def make_splits(
             )
         pools[ex.portion].append(ex)
 
-    rng = random.Random(seed)
-    if not has_public_test:
-        if pools["test"]:
-            raise SplitError("has_public_test=False but a test portion exists")
+    if not pools["test"]:
         pools["test"] = pools["dev"]
         train_groups = _dialogue_groups(pools["train"])
         dev_target = max(1, round(0.1 * len(pools["train"])))
-        dev_ids = set(_sample_groups(train_groups, dev_target, rng))
+        dev_ids = set(_sample_groups(train_groups, dev_target, random.Random(seed)))
         pools["dev"] = [ex for ex in pools["train"] if ex.id in dev_ids]
         pools["train"] = [ex for ex in pools["train"] if ex.id not in dev_ids]
     if not pools["test"]:
-        raise SplitError("no test portion")
+        raise SplitError("no test or dev portion")
     if not pools["dev"]:
         raise SplitError("no dev portion")
 
@@ -214,7 +205,7 @@ def make_splits(
     # Three low train sets: mutually disjoint when the pool allows, for
     # cleaner variance estimates; independently sampled otherwise.
     low_train = []
-    if disjoint_low and n_train >= 3 * LOW_TRAIN_SIZE:
+    if n_train >= 3 * LOW_TRAIN_SIZE:
         order = list(range(len(train_groups)))
         rng_low = random.Random(f"{seed}:low")
         rng_low.shuffle(order)

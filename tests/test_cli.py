@@ -363,6 +363,9 @@ BAD_FILES = {
     "sigs_args_str": json.dumps({"symbol": "now", "args": "ab", "result": "Datetime"}),
     "report_correct_int": json.dumps({"metric": "exact", "accuracy": 1.0, "n": 1, "correct": [1]}),
     "predictions_list": '["a", "(now)"]\n',
+    "corpus_int": "[0, 1, 3]\n5\n",
+    "corpus_id_out_of_range": "[0, 1, 3]\n[0, 9]\n",
+    "corpus_blank": "\n\n",
 }
 
 
@@ -423,6 +426,17 @@ BAD_FILES = {
             ["evaluate", "--predictions", "{predictions_list}", "--dataset", "{dataset_ok}"],
             2,
             id="predictions-list",
+        ),
+        pytest.param(
+            ["decode", "--ngram-corpus", "{corpus_int}", "--vocab", "{v}", "--grammar", "{g}"], 2, id="corpus-int"
+        ),
+        pytest.param(
+            ["decode", "--ngram-corpus", "{corpus_id_out_of_range}", "--vocab", "{v}", "--grammar", "{g}"],
+            2,
+            id="corpus-id-out-of-range",
+        ),
+        pytest.param(
+            ["decode", "--ngram-corpus", "{corpus_blank}", "--vocab", "{v}", "--grammar", "{g}"], 2, id="corpus-blank"
         ),
     ],
 )

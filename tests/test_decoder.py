@@ -169,22 +169,6 @@ class TestDecode:
         b = [(r.text, r.logprob) for r in decode(scorer, ANBN, vocab, cfg)]
         assert a == b
 
-    def test_length_normalize_reranks(self):
-        vocab = make_vocab(["a", "b"])
-        scorer = train_ngram([[0, 1, vocab.eos_id]], order=2, vocab_size=vocab.size)
-        raw = decode(scorer, ANBN, vocab, DecodeConfig(beam_size=4, max_tokens=8))
-        norm = decode(
-            scorer,
-            ANBN,
-            vocab,
-            DecodeConfig(beam_size=4, max_tokens=8, length_normalize=True),
-        )
-        for r in norm:
-            match = [x for x in raw if x.tokens == r.tokens]
-            assert match and r.logprob == pytest.approx(
-                match[0].logprob / len(r.tokens)
-            )
-
     def test_scorer_contract_enforced(self):
         vocab = make_vocab(["a"])
 

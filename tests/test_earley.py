@@ -94,6 +94,7 @@ class TestCompileCache:
             assert check_string(grammar, "qqrr") == ("accepted", 4)
             assert check_string(grammar, decode(scorer, grammar, vocab, cfg)[0].text)[0] == "accepted"
         assert compiled == [g]
+        assert init_state(g) is init_state(g) is init_state(parse_grammar(text))
 
     def test_entry_does_not_keep_its_grammar_alive(self):
         g = parse_grammar('S -> "k" | "kk"')
@@ -132,11 +133,13 @@ class TestAdvance:
 
     def test_source_state_unchanged(self):
         s0 = init_state(ANBN)
-        before = (s0.consumed, s0.is_complete(), s0.allowed_next_chars())
+        before = (s0.is_complete(), s0.allowed_next_chars())
         s1 = s0.advance_char("a")
         s1.advance_char("a").advance_char("b")
-        assert (s0.consumed, s0.is_complete(), s0.allowed_next_chars()) == before
-        assert s1.consumed == 1
+        assert (s0.is_complete(), s0.allowed_next_chars()) == before
+        assert s0.advance_char("b") is None and s0.advance_string("ab")[0].is_complete()
+        assert (s1.is_complete(), s1.allowed_next_chars()) == (False, {"a", "b"})
+        assert s1.advance_char("b").is_complete()
 
     def test_mid_terminal_progress(self):
         g = parse_grammar('S -> "abc"')
@@ -240,7 +243,9 @@ class TestColumns:
         assert deep < 5 * shallow, (shallow, deep)
 
     def test_columns_form_no_reference_cycles(self):
-        # refcounting alone frees a dropped state's columns
+        # refcounting alone frees a dropped state's columns, and then a
+        # dropped grammar's compiled entry (a grammar no other test builds,
+        # since the compile cache is process-wide)
         g = parse_grammar('S -> "(" S ")" S | ""')
         gc.collect()
         gc.disable()
@@ -248,6 +253,8 @@ class TestColumns:
             state, _ = init_state(g).advance_string("(()())" * 50)
             assert state.is_complete()
             del state
+            assert gc.collect() == 0
+            del g
             assert gc.collect() == 0
         finally:
             gc.enable()

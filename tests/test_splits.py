@@ -91,15 +91,11 @@ class TestMakeSplits:
 
     def test_no_public_test(self):
         data = synth_dataset(n_train=3000, n_dev=600, n_test=0)
-        s = make_splits(data, has_public_test=False, seed=1)
+        s = make_splits(data, seed=1)
         assert all(i.startswith("dev-") for i in s.test_2k)
         # carved dev comes out of train and stays disjoint from it
         assert all(i.startswith("train-") for i in s.low_dev)
         assert not set(s.low_dev) & set(s.high_train)
-
-    def test_no_public_test_rejects_test_portion(self):
-        with pytest.raises(SplitError):
-            make_splits(DATASET, has_public_test=False)
 
     def test_bad_portion(self):
         with pytest.raises(SplitError):

@@ -134,7 +134,11 @@ class TestAdvanceToken:
         via_token = advance_token(s, t, 2)
         via_chars, _ = s.advance_string("ab")
         assert via_token.is_complete() and via_chars.is_complete()
-        assert via_token.consumed == via_chars.consumed == 2
+        via_token = advance_token(advance_token(s, t, 0), t, 2)
+        via_chars, _ = s.advance_string("aab")
+        for state in (via_token, via_chars):
+            assert not state.is_complete() and state.allowed_next_chars() == {"b"}
+            assert state.advance_char("a") is None and state.advance_char("b").is_complete()
 
     def test_spelling_aabb(self):
         v = make_vocab(["a", "b", "ab"])
