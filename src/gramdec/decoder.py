@@ -9,6 +9,7 @@ dropped at the token budget rather than returned truncated.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -94,7 +95,7 @@ def decode(
         for slot, hyp in enumerate(active):
             scores = _checked_scores(scorer, hyp.tokens, conditioning, vocab.size)
             if cfg.constrained:
-                legal = sorted(allowed_tokens(hyp.state, trie))
+                legal = allowed_tokens(hyp.state, trie)
             else:
                 legal = range(vocab.size)
             for tid in legal:
@@ -104,9 +105,12 @@ def decode(
                 candidates.append((hyp.logprob + s, tid, slot))
         if not candidates:
             break
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        # The key is a total order, so this equals sorting then slicing.
+        best = heapq.nsmallest(
+            cfg.beam_size, candidates, key=lambda c: (-c[0], c[1], c[2])
+        )
         next_active = []
-        for score, tid, slot in candidates[: cfg.beam_size]:
+        for score, tid, slot in best:
             parent = active[slot]
             if tid == eos:
                 finished.append(

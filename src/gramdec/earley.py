@@ -91,9 +91,11 @@ class CharMask:
 class PrefixState:
     """Earley recognizer state after consuming a character prefix: the
     grammar's tables, the empty-prefix state (None on that state itself,
-    so no state refers to itself) and the frontier column's items."""
+    so no state refers to itself) and the frontier column's items. States
+    are weakly referable, so a cache can key on a grammar's empty-prefix
+    state and go with the grammar."""
 
-    __slots__ = ("tables", "initial", "items")
+    __slots__ = ("tables", "initial", "items", "__weakref__")
 
     def __init__(self, tables, initial: "PrefixState | None", items):
         self.tables = tables

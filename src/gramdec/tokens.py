@@ -5,13 +5,23 @@ so byte-level vocabularies work by treating bytes as characters of the
 terminal alphabet. The end-of-sequence token is legal exactly when the
 consumed prefix is a complete member of the grammar's language, which rules
 out truncated outputs by construction.
+
+A mask is built from per-position splits of the vocabulary (the kernel's
+`classify`): each scan position of a grammar splits the trie once, on its
+first use, into the tokens it accepts in any context and the tokens whose
+legality depends on the context. A state's mask is the union of the
+accepted sets of its frontier's scan positions, plus those of the
+context-dependent tokens that survive a trial advance on the state's chart.
+The splits are cached on the trie per grammar and freed with either.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 
 from .earley import PrefixState
+from .engine import kernel
 from .errors import DisallowedTokenError, VocabularyError
 from .jsonl import json_objects
 
@@ -95,11 +105,30 @@ class _TrieNode:
         self.token_ids = []
 
 
+class _Split:
+    """One scan position's split of the vocabulary: the token ids it
+    accepts in any context, and the ids that the chart must decide."""
+
+    __slots__ = ("accepted", "dependent", "__weakref__")
+
+    def __init__(self, accepted: frozenset, dependent: frozenset):
+        self.accepted = accepted
+        self.dependent = dependent
+
+
 class TokenTrie:
-    """Immutable prefix trie over the vocabulary's token strings."""
+    """Prefix trie over the vocabulary's token strings, with the cache of
+    the splits masks are built from."""
 
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
+        # A grammar's empty-prefix state -> {scan position: _Split}. Keys
+        # are held weakly and the splits refer to no state, so a grammar's
+        # entry goes with the grammar.
+        self._cache = weakref.WeakKeyDictionary()
+        # Equal splits are one object, shared by positions and grammars,
+        # and dropped once no grammar's entry holds them.
+        self._interned = weakref.WeakValueDictionary()
         self.root = _TrieNode()
         for tid, text in enumerate(vocab.entries):
             if tid == vocab.eos_id:
@@ -122,6 +151,25 @@ class TokenTrie:
                 return []
         return list(node.token_ids)
 
+    def _frontier_splits(self, s: PrefixState):
+        """The splits of the scan positions on the state's frontier, each
+        classified on its first use by any state of the grammar."""
+        initial = s.initial or s
+        cached = self._cache.get(initial)
+        if cached is None:
+            cached = self._cache[initial] = {}
+        out = []
+        for pos in kernel.scan_positions(s.tables, s):
+            split = cached.get(pos)
+            if split is None:
+                key = kernel.classify(s.tables, pos, self.root)
+                split = self._interned.get(key)
+                if split is None:
+                    split = self._interned[key] = _Split(*key)
+                cached[pos] = split
+            out.append(split)
+        return out
+
 
 def build_trie(v: Vocabulary) -> TokenTrie:
     return TokenTrie(v)
@@ -130,23 +178,34 @@ def build_trie(v: Vocabulary) -> TokenTrie:
 def allowed_tokens(s: PrefixState, t: TokenTrie) -> set:
     """Exact legal-next-token set for a grammar state.
 
-    Co-walks the trie with the recognizer, pruning a whole subtree as soon
-    as a character dies. eos is included exactly when the state is already
-    a complete member of the language.
+    The union of the accepted sets of the frontier's scan positions, plus
+    each of their context-dependent tokens that survives a trial advance
+    on the state. eos is included exactly when the state is already a
+    complete member of the language.
     """
     out = set()
     if s.is_complete():
         out.add(t.vocab.eos_id)
-    stack = [(t.root, s)]
-    while stack:
-        node, state = stack.pop()
-        for ch, child in node.children.items():
-            nxt = state.advance_char(ch)
-            if nxt is None:
-                continue
-            out.update(child.token_ids)
-            if child.children:
-                stack.append((child, nxt))
+    dependent = set()
+    for split in t._frontier_splits(s):
+        out |= split.accepted
+        dependent |= split.dependent
+    # Trial advances share prefixes: `reached` maps each prefix advanced
+    # so far to its state, or None once it died.
+    reached = {"": s}
+    entries = t.vocab.entries
+    for tid in dependent - out:
+        text = entries[tid]
+        k = len(text)
+        while text[:k] not in reached:
+            k -= 1
+        state = reached[text[:k]]
+        while state is not None and k < len(text):
+            state = state.advance_char(text[k])
+            k += 1
+            reached[text[:k]] = state
+        if state is not None:
+            out.add(tid)
     return out
 
 

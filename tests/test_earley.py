@@ -12,7 +12,7 @@ from gramdec.engine import kernel
 from gramdec.errors import EmptyLanguageError
 from gramdec.grammar import Grammar, Production, Symbol, parse_grammar, reduce
 from gramdec.induction import induce_mtop_grammar, parse_mtop
-from gramdec.tokens import Vocabulary
+from gramdec.tokens import Vocabulary, allowed_tokens, build_trie
 
 from helpers import prefixes_of, random_grammars, saturated_prefixes
 
@@ -255,6 +255,36 @@ class TestColumns:
             del state
             assert gc.collect() == 0
             del g
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_mask_cache_goes_with_its_trie_and_its_grammar(self):
+        # a grammar no other test builds, since the compile cache is
+        # process-wide
+        g = parse_grammar('S -> "<" S ">" S | "z"')
+        vocab = Vocabulary(["<", ">", "z", "<z", "z>", ">z", ""], eos_id=6)
+        gc.collect()
+        gc.disable()
+        try:
+            def masks(trie):
+                state = init_state(g)
+                for ch in "<<z>":
+                    allowed_tokens(state, trie)
+                    state = state.advance_char(ch)
+
+            trie = build_trie(vocab)
+            masks(trie)
+            assert len(trie._cache) == 1 and len(trie._interned) > 0
+            cache, interned = weakref.ref(trie._cache), weakref.ref(trie._interned)
+            del trie
+            assert cache() is None and interned() is None
+
+            trie = build_trie(vocab)
+            masks(trie)
+            assert len(trie._cache) == 1 and len(trie._interned) > 0
+            del g
+            assert len(trie._cache) == 0 and len(trie._interned) == 0
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -1,10 +1,16 @@
 import random
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
 
 import pytest
 
 from gramdec.earley import init_state
+from gramdec.engine import kernel
 from gramdec.errors import DisallowedTokenError, VocabularyError
 from gramdec.grammar import parse_grammar, reduce
+from gramdec.sql import DbColumn, DbSchema, DbTable, load_base_sql_grammar, specialize_sql_grammar
 from gramdec.tokens import (
     Vocabulary,
     advance_token,
@@ -124,6 +130,96 @@ class TestAllowedTokens:
 
     def test_dense_mask_view(self):
         assert dense_mask({1, 3}, 5) == [False, True, False, True, False]
+
+
+def classify_at(state, trie, negated=False):
+    """(accepted, dependent) at the scan position on the state's frontier
+    whose class is negated or not."""
+    syms = state.tables[0]
+    (pos,) = [p for p in kernel.scan_positions(state.tables, state) if syms[p][1] == negated]
+    return kernel.classify(state.tables, pos, trie.root)
+
+
+class TestSplit:
+    def test_token_crossing_a_right_recursive_literal(self):
+        g = reduce(parse_grammar('S -> "\\"" C "\\""\nC -> [^"] C | ""'))
+        long = "x" * (kernel.MAX_DEPTH + 6)
+        v = make_vocab(["ab", 'ab"', 'a"b', '"', "a", long, long + '"'])
+        t = build_trie(v)
+        inside = init_state(g).advance_char('"')
+        accepted, dependent = classify_at(inside, t, negated=True)
+        # the literal's own characters are accepted in any context; what
+        # crosses its end, or outruns the depth cap, goes to the chart
+        assert accepted == {0, 4}
+        assert dependent == {1, 2, 5, 6}
+        mask = allowed_tokens(inside, t)
+        assert mask == oracle_allowed(inside, v) == {0, 1, 3, 4, 5, 6}
+        after = inside.advance_string("ab" + long)[0]
+        assert allowed_tokens(after, t) == oracle_allowed(after, v)
+
+    def test_token_popping_past_the_frontier_item(self):
+        g = reduce(parse_grammar('S -> A "b"\nA -> "a"'))
+        v = make_vocab(["a", "ab", "ac", "b"])
+        t = build_trie(v)
+        s = init_state(g)
+        assert classify_at(s, t) == ({0}, {1, 2})
+        assert allowed_tokens(s, t) == oracle_allowed(s, v) == {0, 1}
+
+    @pytest.mark.parametrize(
+        "text,alphabet",
+        [('S -> "b" A\nA -> A A | "a"', "ab"), ('E -> E "+" E | "x"', "x+")],
+    )
+    def test_left_recursion_is_exact_and_bounded(self, text, alphabet):
+        # Every position against every token up to 12 characters, in a child
+        # capped at 512 MB and 60 s, so that a runaway walk fails the test
+        # instead of exhausting the machine.
+        script = (
+            "import resource, sys\n"
+            "from itertools import product\n"
+            "from gramdec.earley import init_state\n"
+            "from gramdec.engine import kernel\n"
+            "from gramdec.grammar import parse_grammar, reduce\n"
+            "from gramdec.tokens import Vocabulary, build_trie\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "text, alphabet = sys.argv[1:]\n"
+            "tables = init_state(reduce(parse_grammar(text))).tables\n"
+            "tokens = [''.join(p) for n in range(1, 13) for p in product(alphabet, repeat=n)]\n"
+            "root = build_trie(Vocabulary(tokens + [''], len(tokens))).root\n"
+            "for pos, sym in enumerate(tables[0]):\n"
+            "    if type(sym) is tuple:\n"
+            "        kernel.classify(tables, pos, root)\n"
+        )
+        src = str(Path(kernel.__file__).parents[2])
+        done = subprocess.run(
+            [sys.executable, "-c", script, text, alphabet],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()[-500:]
+        g = reduce(parse_grammar(text))
+        tokens = ["".join(p) for n in range(1, 5) for p in product(alphabet, repeat=n)]
+        v = make_vocab(tokens)
+        t = build_trie(v)
+        words = ["".join(p) for n in range(5) for p in product(alphabet, repeat=n)]
+        for word in words:
+            state, _ = init_state(g).advance_string(word)
+            if state is not None:
+                assert allowed_tokens(state, t) == oracle_allowed(state, v), word
+
+    def test_large_vocabulary_matches_trial_advance(self):
+        # every 1-3 character string over 31 characters: 30,783 tokens
+        alphabet = " '(),*.0123=ACDEFHILMNORSTWaemu"
+        assert len(set(alphabet)) == 31
+        tokens = ["".join(p) for n in (1, 2, 3) for p in product(alphabet, repeat=n)]
+        v = make_vocab(tokens)
+        t = build_trie(v)
+        schema = DbSchema([DbTable("emu", [DbColumn("name"), DbColumn("ma")])])
+        g = specialize_sql_grammar(load_base_sql_grammar(), schema)
+        s = init_state(g)
+        for prefix in ("", "SELECT name FROM emu WHERE name = 'a ", "SELECT "):
+            state, _ = s.advance_string(prefix)
+            assert allowed_tokens(state, t) == oracle_allowed(state, v), prefix
 
 
 class TestAdvanceToken:
