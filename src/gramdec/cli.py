@@ -56,6 +56,13 @@ def _read(path: str) -> str:
         raise GramdecError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str, text: str):
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise GramdecError(f"cannot write {path}: {exc}") from None
+
+
 def _load(parse, path: str):
     """parse(text of the file at path); a data error names the file."""
     text = _read(path)
@@ -96,7 +103,7 @@ def _write_grammar(args, g):
     if not args.out:
         sys.stdout.write(text)
         return 0
-    Path(args.out).write_text(text, encoding="utf-8")
+    _write(args.out, text)
     n = len(g.productions)
     _emit(args, {"out": args.out, "productions": n}, f"wrote {args.out} ({n} productions)")
     return 0
@@ -205,7 +212,7 @@ def _cmd_decode(args):
     payload = [{"text": r.text, "logprob": r.logprob} for r in results]
     out_text = json.dumps(payload, indent=None)
     if args.out:
-        Path(args.out).write_text(out_text + "\n", encoding="utf-8")
+        _write(args.out, out_text + "\n")
     print(out_text)
     return 0
 
@@ -215,7 +222,7 @@ def _cmd_make_splits(args):
     spec = make_splits(dataset, seed=args.seed)
     manifest = spec.to_manifest()
     if args.out:
-        Path(args.out).write_text(manifest, encoding="utf-8")
+        _write(args.out, manifest)
         _emit(args, {"out": args.out}, f"wrote {args.out}")
     else:
         sys.stdout.write(manifest)
@@ -259,7 +266,7 @@ def _cmd_evaluate(args):
     report = evaluate(predictions, gold, args.metric)
     text = report.to_json()
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     print(
         json.dumps(
             {
@@ -411,7 +418,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _fail(args, str(exc))
         return 1
-    except (GramdecError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (GramdecError, json.JSONDecodeError, KeyError) as exc:
         _fail(args, str(exc))
         return 2
 

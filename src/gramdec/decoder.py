@@ -206,8 +206,9 @@ class HttpScorer(Scorer):
     """Scorer backed by a JSON-over-HTTP service.
 
     Request: {"conditioning": str, "prefix": [ids]}; response: {"scores":
-    [vocab-size floats]}. Transport failures and non-200 responses raise
-    ScorerError; they are never silently turned into masks.
+    [vocab-size floats]}. Transport failures, non-200 responses and other
+    response bodies raise ScorerError; they are never silently turned into
+    masks.
     """
 
     def __init__(self, url: str, timeout: float = 10.0, session=None):
@@ -231,7 +232,14 @@ class HttpScorer(Scorer):
         if resp.status_code != 200:
             raise ScorerError(f"scorer returned HTTP {resp.status_code}")
         try:
-            scores = resp.json()["scores"]
-        except (ValueError, KeyError) as exc:
+            body = resp.json()
+        except ValueError as exc:
             raise ScorerError(f"bad scorer response: {exc}") from None
+        scores = body.get("scores") if isinstance(body, dict) else None
+        if not isinstance(scores, list) or not all(
+            type(s) in (int, float) for s in scores
+        ):
+            raise ScorerError(
+                'bad scorer response: not a JSON object whose "scores" is a list of numbers'
+            )
         return scores

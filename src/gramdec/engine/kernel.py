@@ -39,26 +39,23 @@ construction, and advancing builds one new item list without copying any.
 
 Token splits
 ------------
-`classify` splits a token trie against one scan position p without a
-chart; the token layer caches its result per (grammar, trie, p). It walks
-the trie following `syms` from p: a nonterminal pushes its return position
-on a local stack and predicts the nonterminal's productions, and a None
-end slot pops that stack. A None slot with the stack empty means p's own
-production has ended; the walk escapes there, since what may follow
-depends on the chart. A token is accepted if some local path scans all its
-characters: wherever an item (p, origin) is on a frontier, the chart has
-that path too. A token that is not accepted is context-dependent if its
-path escaped on the way, and rejected at p otherwise. Two bounds keep the
-walk finite, a stack-depth cap and a guard against re-predicting a
-nonterminal that waits on the stack with nothing scanned since; each
-counts as an escape, so a bound only ever makes tokens context-dependent,
-never accepts or rejects them.
+`classify` splits a token trie against one scan position p without the
+chart of any state; the token layer caches its result per (grammar, trie,
+p). The context p's production started in is unknown, so it is a stand-in
+origin column with no items, and the walk starts from a column holding the
+one item (p, stand-in). Each trie edge is one `advance` of the column at
+its parent node. A token is accepted if advancing over all its characters
+leaves a non-empty column: wherever an item (p, origin) is on a frontier,
+the state's chart holds that column's items with origin for the stand-in.
+An end slot whose origin is the stand-in completes p's production into
+the stand-in, which has no items to complete; what may follow depends on
+the chart, so the walk escapes there. A token that is not accepted is
+context-dependent if its walk escaped on the way, and rejected at p
+otherwise. The walk is as deep as the longest token and the chart dedups
+its items, so left recursion and long literals need no bound.
 """
 
 from ..grammar import NONTERMINAL, TERMINAL, nullable_set
-
-# classify's stack-depth cap, one of its two bounds.
-MAX_DEPTH = 64
 
 
 def compile_tables(grammar):
@@ -189,6 +186,16 @@ def scan_positions(tables, column):
     return {pos for pos, _ in column.items if type(syms[pos]) is tuple}
 
 
+class _Column:
+    """A column that is not a recognizer state: classify's stand-in
+    origin and the columns of its walk."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self.items = items
+
+
 def classify(tables, pos, root):
     """Split a token trie against scan position `pos` (see Token splits):
     returns (accepted, dependent), two frozensets of token ids.
@@ -196,79 +203,28 @@ def classify(tables, pos, root):
     `root` is the trie's root node; a node has `children`, a dict from
     character to node, and `token_ids`, the ids spelled by its path.
     """
-    syms, starts = tables[0], tables[2]
-    # Local return stacks are interned frames: frame f > 0 returns to
-    # ret[f] and then continues with frame up[f]; frame 0 is the empty
-    # stack.
-    ret, up, depth = [None], [0], [0]
-    frame_of = {}
-
-    def close(moved):
-        """The frames of each scan position reachable from the configs
-        (position, frame) in `moved` without scanning, and whether an
-        escape or a bound was met."""
-        out = {}
-        escaped = False
-        seen = set(moved)
-        # `fresh` names the nonterminals whose frames were pushed since the
-        # last scan, innermost last.
-        todo = [(p, f, ()) for p, f in moved]
-        while todo:
-            p, f, fresh = todo.pop()
-            sym = syms[p]
-            if type(sym) is tuple:
-                out.setdefault(p, []).append(f)
-                continue
-            if sym is None:
-                if not f:
-                    escaped = True
-                    continue
-                nxt = [(ret[f], up[f], fresh[:-1])]
-            elif sym in fresh or depth[f] == MAX_DEPTH:
-                escaped = True
-                continue
-            else:
-                g = frame_of.get((p + 1, f))
-                if g is None:
-                    g = frame_of[p + 1, f] = len(ret)
-                    ret.append(p + 1)
-                    up.append(f)
-                    depth.append(depth[f] + 1)
-                fresh += (sym,)
-                nxt = [(s, g, fresh) for s in starts[sym]]
-            for item in nxt:
-                if item[:2] not in seen:
-                    seen.add(item[:2])
-                    todo.append(item)
-        return out, escaped
-
+    syms = tables[0]
+    context = _Column([])
     accepted = set()
     dependent = set()
-    walk = [(root, {pos: [0]}, False)]
+    walk = [(root, _Column([(pos, context)]), False)]
     while walk:
-        node, configs, below_escape = walk.pop()
-        children = node.children
-        moves = {}  # character -> configs that scan it
-        for p, frames in configs.items():
-            chars, negated = syms[p]
-            if negated or len(chars) > len(children):
-                scanned = [ch for ch in children if (ch in chars) != negated]
-            else:
-                scanned = [ch for ch in chars if ch in children]
-            for ch in scanned:
-                moves.setdefault(ch, []).extend([(p + 1, f) for f in frames])
-        for ch, moved in moves.items():
-            child = children[ch]
+        node, column, below_escape = walk.pop()
+        for ch, child in node.children.items():
+            items = advance(tables, column, ch)
+            if items is None:
+                continue
             accepted.update(child.token_ids)
             if not child.children:
                 continue
-            configs_after, escaped = close(moved)
-            if escaped and not below_escape:
+            escaped = not below_escape and any(
+                origin is context and syms[p] is None for p, origin in items
+            )
+            if escaped:
                 subtree = [child]
                 while subtree:
                     n = subtree.pop()
                     dependent.update(n.token_ids)
                     subtree.extend(n.children.values())
-            if configs_after:
-                walk.append((child, configs_after, below_escape or escaped))
+            walk.append((child, _Column(items), below_escape or escaped))
     return frozenset(accepted), frozenset(dependent - accepted)

@@ -7,6 +7,8 @@ recomputed by per-token trial advancement.
 
 import random
 
+from hypothesis import strategies as st
+
 from gramdec.errors import EmptyLanguageError, EnumerationExplosion, GramdecError
 from gramdec.grammar import (
     CHARCLASS,
@@ -214,3 +216,27 @@ def random_vocab(rng: random.Random, alphabet="abc", max_tokens=12, max_len=3):
             seen.add(t)
             tokens.append(t)
     return make_vocab(tokens)
+
+
+# any character a str can hold: escapes, quotes, brackets, control and
+# line-separator characters included
+CHARS = st.characters(exclude_categories=("Cs",))
+_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
+
+
+@st.composite
+def grammars(draw):
+    """Hypothesis strategy: unreduced grammars over any characters."""
+    names = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+    symbol = st.one_of(
+        st.text(CHARS, min_size=1, max_size=4).map(Symbol.t),
+        st.sampled_from(names).map(Symbol.nt),
+        st.builds(Symbol.cc, st.frozensets(CHARS, min_size=1, max_size=5), st.booleans()),
+    )
+    rhs = st.one_of(st.just(()), st.lists(symbol, min_size=1, max_size=4).map(tuple))
+    productions = [
+        Production(name, r)
+        for name in names
+        for r in draw(st.lists(rhs, min_size=1, max_size=3, unique=True))
+    ]
+    return Grammar(draw(st.sampled_from(names)), productions)

@@ -498,6 +498,33 @@ class TestMakeSplits:
         assert code == 0 and json.loads(out_path.read_text())["seed"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["specialize-sql", "--schema", "{schema}"], id="specialize-sql"),
+        pytest.param(
+            ["decode", "--vocab", "{v}", "--grammar", "{g}", "--ngram-corpus", "{corpus}"], id="decode"
+        ),
+        pytest.param(["make-splits", "--dataset", "{portioned}"], id="make-splits"),
+        pytest.param(
+            ["evaluate", "--predictions", "{predictions}", "--dataset", "{dataset}"], id="evaluate"
+        ),
+    ],
+)
+def test_unwritable_out_is_a_typed_error(capsys, tmp_path, grammar_file, vocab_file, argv):
+    paths = {"g": grammar_file, "v": vocab_file, "portioned": write_dataset(tmp_path)}
+    for name, text in {
+        "schema": json.dumps({"tables": [{"name": "t", "columns": [{"name": "c"}]}]}),
+        "corpus": "[0, 1, 3]\n",
+        "dataset": json.dumps({"id": "a", "utterance": "u", "gold": "(now)", "portion": "test"}),
+        "predictions": json.dumps({"id": "a", "prediction": "(now)"}),
+    }.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    got, _, err = run(capsys, *[a.format(**paths) for a in argv], "--out", str(tmp_path))
+    assert got == 2 and err.startswith(f"error: cannot write {tmp_path}: ")
+
+
 class TestBuildPrompt:
     def test_prompt(self, capsys, tmp_path):
         ds = write_dataset(tmp_path, n_train=10, n_dev=1, n_test=1)

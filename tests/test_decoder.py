@@ -195,6 +195,16 @@ class TestDecode:
             decode(TableScorer(2), None, make_vocab(["a"]), DecodeConfig())
 
 
+# 200 bodies that are not a JSON object whose "scores" is a list of numbers
+BAD_BODIES = {
+    "garbage": b"not json",
+    "list": b"[1, 2, 3]",
+    "scores-int": b'{"scores": 5}',
+    "scores-str": b'{"scores": ["x", "y", "z"]}',
+    "scores-null": b'{"scores": [0.0, null, 0.0]}',
+}
+
+
 class _ScorerHandler(BaseHTTPRequestHandler):
     behavior = "ok"
 
@@ -204,8 +214,8 @@ class _ScorerHandler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        if self.behavior == "garbage":
-            payload = b"not json"
+        if self.behavior in BAD_BODIES:
+            payload = BAD_BODIES[self.behavior]
         else:
             n = 3
             scores = [math.log(1 / n)] * n
@@ -247,6 +257,14 @@ class TestHttpScorer:
         _ScorerHandler.behavior = "garbage"
         with pytest.raises(ScorerError):
             HttpScorer(scorer_server).score((), "")
+
+    @pytest.mark.parametrize("behavior", ["list", "scores-int", "scores-str", "scores-null"])
+    def test_scores_not_a_list_of_numbers(self, scorer_server, behavior):
+        _ScorerHandler.behavior = behavior
+        with pytest.raises(ScorerError):
+            HttpScorer(scorer_server).score((), "")
+        with pytest.raises(ScorerError):
+            decode(HttpScorer(scorer_server), ANBN, make_vocab(["a", "b"]), DecodeConfig())
 
     def test_connection_refused(self):
         with pytest.raises(ScorerError):

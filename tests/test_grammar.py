@@ -2,7 +2,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gramdec.errors import (
     EmptyLanguageError,
@@ -20,7 +19,7 @@ from gramdec.grammar import (
     serialize_grammar,
 )
 
-from helpers import bfs_enumerate, random_grammars
+from helpers import bfs_enumerate, grammars, random_grammars
 
 ANBN = '@start S\nS -> "a" S "b"\nS -> ""'
 
@@ -94,29 +93,6 @@ class TestSerialize:
             text = serialize_grammar(g)
             assert parse_grammar(text) == g
             assert serialize_grammar(parse_grammar(text)) == text
-
-
-# any character a str can hold: escapes, quotes, brackets, control and
-# line-separator characters included
-_CHARS = st.characters(exclude_categories=("Cs",))
-_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
-
-
-@st.composite
-def grammars(draw):
-    names = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
-    symbol = st.one_of(
-        st.text(_CHARS, min_size=1, max_size=4).map(Symbol.t),
-        st.sampled_from(names).map(Symbol.nt),
-        st.builds(Symbol.cc, st.frozensets(_CHARS, min_size=1, max_size=5), st.booleans()),
-    )
-    rhs = st.one_of(st.just(()), st.lists(symbol, min_size=1, max_size=4).map(tuple))
-    productions = [
-        Production(name, r)
-        for name in names
-        for r in draw(st.lists(rhs, min_size=1, max_size=3, unique=True))
-    ]
-    return Grammar(draw(st.sampled_from(names)), productions)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

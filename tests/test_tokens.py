@@ -5,11 +5,13 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gramdec.earley import init_state
 from gramdec.engine import kernel
-from gramdec.errors import DisallowedTokenError, VocabularyError
-from gramdec.grammar import parse_grammar, reduce
+from gramdec.errors import DisallowedTokenError, EmptyLanguageError, VocabularyError
+from gramdec.grammar import CHARCLASS, TERMINAL, parse_grammar, reduce
 from gramdec.sql import DbColumn, DbSchema, DbTable, load_base_sql_grammar, specialize_sql_grammar
 from gramdec.tokens import (
     Vocabulary,
@@ -21,7 +23,7 @@ from gramdec.tokens import (
     load_vocab_jsonl,
 )
 
-from helpers import make_vocab, random_grammars, random_vocab
+from helpers import CHARS, grammars, make_vocab, random_grammars, random_vocab
 
 ANBN = reduce(parse_grammar('@start S\nS -> "a" S "b"\nS -> ""'))
 
@@ -128,6 +130,34 @@ class TestAllowedTokens:
                 state = states[word]
                 assert allowed_tokens(state, trie) == oracle_allowed(state, vocab)
 
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(grammars(), st.data())
+    def test_masks_match_trial_advance(self, g, data):
+        try:
+            state = init_state(g)
+        except EmptyLanguageError:
+            assume(False)
+        # tokens over the grammar's characters and one more, which negated
+        # classes may accept
+        alphabet = {data.draw(CHARS)}
+        for p in g.productions:
+            for sym in p.rhs:
+                if sym.kind == TERMINAL:
+                    alphabet.update(sym.text)
+                elif sym.kind == CHARCLASS:
+                    alphabet.update(sym.chars)
+        alphabet = sorted(alphabet)
+        token = st.text(st.sampled_from(alphabet), min_size=1, max_size=4)
+        vocab = make_vocab(data.draw(st.lists(token, min_size=1, max_size=12, unique=True)))
+        trie = build_trie(vocab)
+        for _ in range(4):
+            assert allowed_tokens(state, trie) == oracle_allowed(state, vocab)
+            mask = state.allowed_next_chars()
+            viable = [c for c in alphabet if c in mask]
+            if not viable:
+                break
+            state = state.advance_char(data.draw(st.sampled_from(viable)))
+
     def test_dense_mask_view(self):
         assert dense_mask({1, 3}, 5) == [False, True, False, True, False]
 
@@ -143,15 +173,15 @@ def classify_at(state, trie, negated=False):
 class TestSplit:
     def test_token_crossing_a_right_recursive_literal(self):
         g = reduce(parse_grammar('S -> "\\"" C "\\""\nC -> [^"] C | ""'))
-        long = "x" * (kernel.MAX_DEPTH + 6)
+        long = "x" * 70
         v = make_vocab(["ab", 'ab"', 'a"b', '"', "a", long, long + '"'])
         t = build_trie(v)
         inside = init_state(g).advance_char('"')
         accepted, dependent = classify_at(inside, t, negated=True)
-        # the literal's own characters are accepted in any context; what
-        # crosses its end, or outruns the depth cap, goes to the chart
-        assert accepted == {0, 4}
-        assert dependent == {1, 2, 5, 6}
+        # the literal's own characters are accepted in any context, however
+        # long; what crosses its end goes to the chart
+        assert accepted == {0, 4, 5}
+        assert dependent == {1, 2, 6}
         mask = allowed_tokens(inside, t)
         assert mask == oracle_allowed(inside, v) == {0, 1, 3, 4, 5, 6}
         after = inside.advance_string("ab" + long)[0]
@@ -164,6 +194,16 @@ class TestSplit:
         s = init_state(g)
         assert classify_at(s, t) == ({0}, {1, 2})
         assert allowed_tokens(s, t) == oracle_allowed(s, v) == {0, 1}
+
+    def test_left_recursion_inside_the_production_is_exact(self):
+        g = reduce(parse_grammar('S -> "(" E ")"\nE -> E "+x" | "x"'))
+        v = make_vocab(["(x+x", "(x+x+x", "(x)", "x"])
+        t = build_trie(v)
+        s = init_state(g)
+        # left recursion inside the scan position's own production needs no
+        # context
+        assert classify_at(s, t) == ({0, 1, 2}, set())
+        assert allowed_tokens(s, t) == oracle_allowed(s, v)
 
     @pytest.mark.parametrize(
         "text,alphabet",
