@@ -384,13 +384,22 @@ def _build_parser():
     return parser, sub.choices
 
 
+def _config_object(text: str) -> dict:
+    """The flag defaults of a --config file: one JSON object."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GramdecError(f"bad config JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise GramdecError("config file must hold a JSON object")
+    return data
+
+
 def _with_config(parser, command, argv, path):
     """Parse argv again over the flag defaults in the JSON config at path,
     so explicit flags win. A config value goes through its flag's type and
     choices as a flag value does."""
-    data = json.loads(_read(path))
-    if not isinstance(data, dict):
-        raise GramdecError("config file must hold a JSON object")
+    data = _load(_config_object, path)
     actions = {a.dest: a for a in command._actions}
     defaults = {}
     for key, value in data.items():
@@ -418,7 +427,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _fail(args, str(exc))
         return 1
-    except (GramdecError, json.JSONDecodeError, KeyError) as exc:
+    except (GramdecError, KeyError) as exc:
         _fail(args, str(exc))
         return 2
 

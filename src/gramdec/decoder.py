@@ -5,6 +5,10 @@ application, so comparing the two isolates the constraint system. In
 constrained mode eos is only offered at complete states and every returned
 string is a member of the grammar's language; unfinished hypotheses are
 dropped at the token budget rather than returned truncated.
+
+A step reads each hypothesis's legal scores in one pass and checks them
+with one sum; the next beam is the best beam_size of all hypotheses' legal
+tokens, taken in one selection over plain tuples.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, neg
 
 from .earley import init_state
 from .errors import NoViableHypothesisError, ScorerError
@@ -20,9 +26,11 @@ from .tokens import TokenTrie, Vocabulary, advance_token, allowed_tokens, build_
 
 
 class Scorer:
-    """Contract: score(prefix, conditioning) returns one finite log-score per
-    vocabulary id, deterministically. Implementations must tolerate
-    concurrent calls or document serialized access."""
+    """Contract: score(prefix, conditioning) returns one log-score per
+    vocabulary id, deterministically. Scores must be finite for the tokens
+    that are legal at that step, and only those are checked (every id is
+    legal when unconstrained). Implementations must tolerate concurrent
+    calls or document serialized access."""
 
     def score(self, prefix: tuple, conditioning: str):
         raise NotImplementedError
@@ -91,26 +99,31 @@ def decode(
     eos = vocab.eos_id
 
     for _ in range(cfg.max_tokens):
-        candidates = []  # (score, token id, slot)
+        # One stream of (cost, token id, slot) per slot, cost being -score,
+        # so the tuples' own order is best-first with ties by token id, then
+        # slot.
+        streams = []
         for slot, hyp in enumerate(active):
             scores = _checked_scores(scorer, hyp.tokens, conditioning, vocab.size)
             if cfg.constrained:
                 legal = allowed_tokens(hyp.state, trie)
             else:
                 legal = range(vocab.size)
-            for tid in legal:
-                s = scores[tid]
-                if not math.isfinite(s):
-                    raise ScorerError(f"non-finite score for token {tid}")
-                candidates.append((hyp.logprob + s, tid, slot))
-        if not candidates:
+            vals = list(map(scores.__getitem__, legal))
+            # One pass over the sum; only a non-finite sum (a non-finite
+            # score, or finite ones that overflow) takes the per-token check.
+            if not math.isfinite(sum(vals)):
+                for tid, s in zip(legal, vals):
+                    if not math.isfinite(s):
+                        raise ScorerError(f"non-finite score for token {tid}")
+            totals = map(add, repeat(hyp.logprob), vals)
+            streams.append(zip(map(neg, totals), legal, repeat(slot)))
+        best = heapq.nsmallest(cfg.beam_size, chain.from_iterable(streams))
+        if not best:
             break
-        # The key is a total order, so this equals sorting then slicing.
-        best = heapq.nsmallest(
-            cfg.beam_size, candidates, key=lambda c: (-c[0], c[1], c[2])
-        )
         next_active = []
-        for score, tid, slot in best:
+        for cost, tid, slot in best:
+            score = -cost
             parent = active[slot]
             if tid == eos:
                 finished.append(
@@ -167,10 +180,10 @@ class NgramScorer(Scorer):
         counts = self._counts.get(ctx, {})
         total = self._totals.get(ctx, 0)
         denom = total + self.vocab_size
-        return [
-            math.log((counts.get(t, 0) + 1) / denom)
-            for t in range(self.vocab_size)
-        ]
+        scores = [math.log(1 / denom)] * self.vocab_size
+        for t, c in counts.items():
+            scores[t] = math.log((c + 1) / denom)
+        return scores
 
     def _context(self, prefix):
         k = self.order - 1
@@ -181,7 +194,10 @@ class NgramScorer(Scorer):
 
 
 def train_ngram(corpus, order: int, vocab_size: int | None = None) -> NgramScorer:
-    """Fit an add-one n-gram scorer on token-id sequences (eos included)."""
+    """Fit an add-one n-gram scorer on token-id sequences (eos included).
+
+    Every id must lie in [0, vocab_size); others raise ValueError.
+    """
     if not 1 <= order <= 5:
         raise ValueError("order must be in [1, 5]")
     if not corpus:
@@ -196,6 +212,8 @@ def train_ngram(corpus, order: int, vocab_size: int | None = None) -> NgramScore
         for i in range(k, len(padded)):
             ctx = padded[i - k : i]
             tok = padded[i]
+            if not 0 <= tok < vocab_size:
+                raise ValueError(f"corpus id {tok} outside [0, {vocab_size})")
             bucket = counts.setdefault(ctx, {})
             bucket[tok] = bucket.get(tok, 0) + 1
             totals[ctx] = totals.get(ctx, 0) + 1

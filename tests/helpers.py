@@ -218,6 +218,18 @@ def random_vocab(rng: random.Random, alphabet="abc", max_tokens=12, max_len=3):
     return make_vocab(tokens)
 
 
+def grammar_alphabet(grammar):
+    """The characters the grammar's terminals and classes name."""
+    alphabet = set()
+    for p in grammar.productions:
+        for sym in p.rhs:
+            if sym.kind == TERMINAL:
+                alphabet.update(sym.text)
+            elif sym.kind == CHARCLASS:
+                alphabet.update(sym.chars)
+    return alphabet
+
+
 # any character a str can hold: escapes, quotes, brackets, control and
 # line-separator characters included
 CHARS = st.characters(exclude_categories=("Cs",))

@@ -349,6 +349,14 @@ class TestConfig:
         assert code == 0 and json.loads(out)["seed"] == 0
 
 
+@pytest.mark.parametrize("text", ["not json", "[1]"], ids=["not-json", "not-object"])
+def test_bad_config_names_the_file(capsys, tmp_path, grammar_file, text):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    code, _, err = run(capsys, "check", "--grammar", grammar_file, "--input", "ab", "--config", str(cfg))
+    assert code == 2 and err.startswith(f"error: {cfg}: ")
+
+
 # files for the malformed-record cases (and one good dataset beside them);
 # a placeholder "{name}" in argv is the path of that file
 BAD_FILES = {

@@ -1,10 +1,13 @@
 import itertools
 import json
 import math
+import random
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gramdec.decoder import (
     DecodeConfig,
@@ -15,11 +18,11 @@ from gramdec.decoder import (
     train_ngram,
 )
 from gramdec.earley import init_state
-from gramdec.errors import NoViableHypothesisError, ScorerError
+from gramdec.errors import EmptyLanguageError, NoViableHypothesisError, ScorerError
 from gramdec.grammar import parse_grammar, reduce
-from gramdec.tokens import advance_token, build_trie
+from gramdec.tokens import advance_token, allowed_tokens, build_trie
 
-from helpers import make_vocab
+from helpers import CHARS, grammar_alphabet, grammars, make_vocab
 
 ANBN = reduce(parse_grammar('@start S\nS -> "a" S "b"\nS -> ""'))
 
@@ -67,6 +70,39 @@ class TestNgram:
             train_ngram([[0]], order=0)
         with pytest.raises(ValueError):
             train_ngram([], order=2)
+
+    def test_corpus_ids_outside_vocabulary(self):
+        with pytest.raises(ValueError):
+            train_ngram([[0, 3]], order=2, vocab_size=3)
+        with pytest.raises(ValueError):
+            train_ngram([[0, -1, 2]], order=1, vocab_size=3)
+        with pytest.raises(ValueError):
+            train_ngram([[0, -1, 2]], order=2)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda v: st.tuples(
+                st.just(v),
+                st.lists(st.lists(st.integers(0, v - 1), max_size=6), min_size=1, max_size=5),
+                st.lists(st.integers(0, v - 1), max_size=4),
+            )
+        ),
+        st.integers(1, 4),
+    )
+    def test_scores_equal_the_add_one_formula(self, draw, order):
+        vocab_size, corpus, prefix = draw
+        scorer = train_ngram(corpus, order, vocab_size=vocab_size)
+        k = order - 1
+        ctx = ((-1,) * k + tuple(prefix))[len(prefix) :]
+        counts = [0] * vocab_size
+        for seq in corpus:
+            padded = (-1,) * k + tuple(seq)
+            for i in range(k, len(padded)):
+                if padded[i - k : i] == ctx:
+                    counts[padded[i]] += 1
+        denom = sum(counts) + vocab_size
+        assert scorer.score(prefix) == [math.log((c + 1) / denom) for c in counts]
 
 
 class TestDecode:
@@ -186,6 +222,47 @@ class TestDecode:
         with pytest.raises(ScorerError):
             decode(NonFinite(), ANBN, vocab, DecodeConfig())
 
+    def test_rounding_tie_breaks_by_token_id(self):
+        # after a prefix at -1e16 both continuations round to the same
+        # total, so the lower token id wins although its own score is lower
+        vocab = make_vocab(["a", "b", "c"])
+        scorer = TableScorer(
+            vocab.size,
+            {(): [-1e16, -1e17, -1e17, -1e17], (0,): [-1e17, -0.9, -0.5, -1e17]},
+        )
+        assert -1e16 + -0.9 == -1e16 + -0.5
+        cfg = DecodeConfig(beam_size=1, max_tokens=2, constrained=False)
+        assert decode(scorer, None, vocab, cfg)[0].tokens == (0, 1)
+
+    def test_non_finite_masked_out_scores_are_ignored(self):
+        # "b" is not legal first, and eos is not legal after "a" or "aa"
+        vocab = make_vocab(["a", "b"])
+        nan, inf = float("nan"), float("inf")
+        bad = {(): [-0.1, nan, -2.0], (0,): [-0.1, -0.2, inf], (0, 0): [-0.1, -0.2, -inf]}
+        good = {(): [-0.1, -3.0, -2.0], (0,): [-0.1, -0.2, -3.0], (0, 0): [-0.1, -0.2, -3.0]}
+        cfg = DecodeConfig(beam_size=2, max_tokens=5)
+        got = decode(TableScorer(vocab.size, bad), ANBN, vocab, cfg)
+        assert got == decode(TableScorer(vocab.size, good), ANBN, vocab, cfg)
+
+    def test_non_finite_legal_score_in_second_slot(self):
+        g = reduce(parse_grammar('S -> "a" "b" | "b" "a"'))
+        vocab = make_vocab(["a", "b"])
+        # slot 0 holds "a", slot 1 holds "b"; only "a" is legal after "b"
+        table = {
+            (): [-0.1, -0.2, -5.0],
+            (0,): [-1.0, -0.1, -1.0],
+            (1,): [float("nan"), float("inf"), -1.0],
+        }
+        with pytest.raises(ScorerError, match="token 0$"):
+            decode(TableScorer(vocab.size, table), g, vocab, DecodeConfig(beam_size=2))
+
+    def test_finite_scores_whose_sum_overflows(self):
+        vocab = make_vocab(["a", "b"])
+        scorer = TableScorer(vocab.size, {(): [-1e308] * vocab.size})
+        assert math.isinf(sum(scorer.score(())))
+        results = decode(scorer, ANBN, vocab, DecodeConfig(beam_size=2, max_tokens=1))
+        assert [(r.text, r.logprob) for r in results] == [("", -1e308)]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DecodeConfig(beam_size=0)
@@ -193,6 +270,78 @@ class TestDecode:
             DecodeConfig(max_tokens=0)
         with pytest.raises(ValueError):
             decode(TableScorer(2), None, make_vocab(["a"]), DecodeConfig())
+
+
+def reference_decode(scorer, grammar, vocab, cfg, trie):
+    """Beam search as one full sort of every (score, token id, slot)
+    candidate per step under the key (-score, token id, slot); returns
+    (text, logprob, tokens) best-first, or [] when nothing finished."""
+    root = init_state(grammar) if cfg.constrained else None
+    active = [((), 0.0, root)]
+    finished = []
+    for _ in range(cfg.max_tokens):
+        candidates = []
+        for slot, (tokens, logprob, state) in enumerate(active):
+            scores = scorer.score(tokens)
+            legal = allowed_tokens(state, trie) if cfg.constrained else range(vocab.size)
+            candidates += [(logprob + scores[t], t, slot) for t in legal]
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        next_active = []
+        for score, tid, slot in candidates[: cfg.beam_size]:
+            tokens, _, state = active[slot]
+            if tid == vocab.eos_id:
+                finished.append((tokens + (tid,), score))
+            else:
+                nxt = advance_token(state, trie, tid) if cfg.constrained else None
+                next_active.append((tokens + (tid,), score, nxt))
+        active = next_active
+        if not active:
+            break
+    pool = finished if cfg.constrained else finished + [(t, s) for t, s, _ in active]
+    pool.sort(key=lambda h: (-h[1], h[0]))
+    return [(vocab.detokenize(t), s, t) for t, s in pool]
+
+
+class SeededScorer(Scorer):
+    """Scores drawn per prefix from a few values, so totals tie often."""
+
+    VALUES = (0.0, -0.1, -0.2, -0.3, -0.5, -1.0, -1.0, -2.5)
+
+    def __init__(self, size, seed):
+        self.size = size
+        self.seed = seed
+
+    def score(self, prefix, conditioning=""):
+        rng = random.Random(f"{self.seed}:{list(prefix)}")
+        return [rng.choice(self.VALUES) for _ in range(self.size)]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(grammars(), st.data())
+def test_decode_matches_full_sort_reference(g, data):
+    try:
+        init_state(g)
+    except EmptyLanguageError:
+        assume(False)
+    alphabet = sorted(grammar_alphabet(g) | {data.draw(CHARS)})
+    token = st.text(st.sampled_from(alphabet), min_size=1, max_size=3)
+    vocab = make_vocab(data.draw(st.lists(token, min_size=1, max_size=8, unique=True)))
+    trie = build_trie(vocab)
+    scorer = SeededScorer(vocab.size, data.draw(st.integers(0, 2**16)))
+    cfg = DecodeConfig(
+        beam_size=data.draw(st.integers(1, 5)),
+        max_tokens=data.draw(st.integers(1, 6)),
+        constrained=data.draw(st.booleans()),
+    )
+    want = reference_decode(scorer, g, vocab, cfg, trie)
+    if not want:
+        with pytest.raises(NoViableHypothesisError):
+            decode(scorer, g, vocab, cfg, trie=trie)
+        return
+    got = decode(scorer, g, vocab, cfg, trie=trie)
+    assert [(r.text, r.logprob.hex(), r.tokens) for r in got] == [
+        (text, logprob.hex(), tokens) for text, logprob, tokens in want
+    ]
 
 
 # 200 bodies that are not a JSON object whose "scores" is a list of numbers

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gramdec.earley import init_state
 from gramdec.engine import kernel
 from gramdec.errors import DisallowedTokenError, EmptyLanguageError, VocabularyError
-from gramdec.grammar import CHARCLASS, TERMINAL, parse_grammar, reduce
+from gramdec.grammar import parse_grammar, reduce
 from gramdec.sql import DbColumn, DbSchema, DbTable, load_base_sql_grammar, specialize_sql_grammar
 from gramdec.tokens import (
     Vocabulary,
@@ -23,7 +23,7 @@ from gramdec.tokens import (
     load_vocab_jsonl,
 )
 
-from helpers import CHARS, grammars, make_vocab, random_grammars, random_vocab
+from helpers import CHARS, grammar_alphabet, grammars, make_vocab, random_grammars, random_vocab
 
 ANBN = reduce(parse_grammar('@start S\nS -> "a" S "b"\nS -> ""'))
 
@@ -139,14 +139,7 @@ class TestAllowedTokens:
             assume(False)
         # tokens over the grammar's characters and one more, which negated
         # classes may accept
-        alphabet = {data.draw(CHARS)}
-        for p in g.productions:
-            for sym in p.rhs:
-                if sym.kind == TERMINAL:
-                    alphabet.update(sym.text)
-                elif sym.kind == CHARCLASS:
-                    alphabet.update(sym.chars)
-        alphabet = sorted(alphabet)
+        alphabet = sorted(grammar_alphabet(g) | {data.draw(CHARS)})
         token = st.text(st.sampled_from(alphabet), min_size=1, max_size=4)
         vocab = make_vocab(data.draw(st.lists(token, min_size=1, max_size=12, unique=True)))
         trie = build_trie(vocab)
