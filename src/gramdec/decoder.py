@@ -98,7 +98,8 @@ def decode(
     finished = []
     eos = vocab.eos_id
 
-    for _ in range(cfg.max_tokens):
+    step = 0
+    while step < cfg.max_tokens:
         # One stream of (cost, token id, slot) per slot, cost being -score,
         # so the tuples' own order is best-first with ties by token id, then
         # slot.
@@ -141,6 +142,7 @@ def decode(
         active = next_active
         if not active:
             break
+        step += 1
 
     pool = list(finished)
     if not cfg.constrained:
@@ -148,8 +150,12 @@ def decode(
         # since a truncated prefix is not a language member.
         pool.extend(active)
     if not pool:
+        if step == cfg.max_tokens:
+            raise NoViableHypothesisError(
+                f"no hypothesis finished within max_tokens={cfg.max_tokens}", step
+            )
         raise NoViableHypothesisError(
-            "constrained beam emptied before any hypothesis finished"
+            f"no hypothesis finished: every mask was empty at step {step}", step
         )
     pool.sort(key=lambda h: (-h.logprob, h.tokens))
     return [DecodeResult(vocab.detokenize(h.tokens), h.logprob, h.tokens) for h in pool]

@@ -1,8 +1,9 @@
 """Character-incremental Earley recognition.
 
 A PrefixState is the frontier column of the chart after consuming a
-character prefix: it holds that column's closed items, and the earlier
-columns are the states its items' origins point at. States are values:
+character prefix: it holds that column's own closed items and the
+grammar's shared set of the items it predicted, and the earlier columns
+are the states its own items' origins point at. States are values:
 advancing builds one new state, never mutates or copies the earlier ones,
 so beam-search branches can fork freely. A prefix survives exactly when it
 extends to some member of the language: recognition runs on the reduced
@@ -25,7 +26,7 @@ class CompiledGrammar:
 
     def __init__(self, grammar: Grammar):
         tables = kernel.compile_tables(grammar)
-        self.initial = PrefixState(tables, None, kernel.initial_items(tables))
+        self.initial = PrefixState(tables, None, *kernel.initial_column(tables))
 
 
 # Grammar -> CompiledGrammar of its reduction. Equal grammars share an
@@ -91,25 +92,27 @@ class CharMask:
 class PrefixState:
     """Earley recognizer state after consuming a character prefix: the
     grammar's tables, the empty-prefix state (None on that state itself,
-    so no state refers to itself) and the frontier column's items. States
-    are weakly referable, so a cache can key on a grammar's empty-prefix
-    state and go with the grammar."""
+    so no state refers to itself), and the frontier column's own items and
+    its shared prediction set. States are weakly referable, so a cache can
+    key on a grammar's empty-prefix state and go with the grammar."""
 
-    __slots__ = ("tables", "initial", "items", "__weakref__")
+    __slots__ = ("tables", "initial", "items", "pred", "__weakref__")
 
-    def __init__(self, tables, initial: "PrefixState | None", items):
+    def __init__(self, tables, initial: "PrefixState | None", items, pred):
         self.tables = tables
         self.initial = initial
         self.items = items
+        self.pred = pred
 
     def advance_char(self, c: str) -> "PrefixState | None":
         """New state after one character, or None if the prefix dies."""
         if len(c) != 1:
             raise ValueError("advance_char takes exactly one character")
-        items = kernel.advance(self.tables, self, c)
-        if items is None:
+        advanced = kernel.advance(self.tables, self, c)
+        if advanced is None:
             return None
-        return PrefixState(self.tables, self.initial or self, items)
+        items, pred = advanced
+        return PrefixState(self.tables, self.initial or self, items, pred)
 
     def advance_string(self, s: str) -> "tuple[PrefixState | None, int]":
         """Advance over each character; returns (state or None, chars consumed)."""

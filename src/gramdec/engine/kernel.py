@@ -7,9 +7,9 @@ Data layout
 -----------
 A grammar is compiled by `compile_tables` into a tables tuple:
 
-    (syms, lhs_at, starts, nullable, start)
+    (syms, lhs_at, starts, nullable, start, predictions, scan_entries)
 
-    syms     : list[sym | None]    every production laid out in grammar
+    syms        : list[sym | None] every production laid out in grammar
                                    order, one slot per rhs symbol and then
                                    a None end slot; sym is an int
                                    nonterminal id, or a (chars, negated)
@@ -18,21 +18,45 @@ A grammar is compiled by `compile_tables` into a tables tuple:
                                    "abc" is one pair per character and the
                                    epsilon terminal takes no slot, so
                                    `S -> ""` is a single None
-    lhs_at   : list[int]           lhs nonterminal id of the production
+    lhs_at      : list[int]        lhs nonterminal id of the production
                                    that owns each position
-    starts   : list[list[int]]     first position of each production, per
+    starts      : list[list[int]]  first position of each production, per
                                    nonterminal id
-    nullable : list[bool]          per nonterminal id
-    start    : int                 start nonterminal id
+    nullable    : list[bool]       per nonterminal id
+    start       : int              start nonterminal id
+    predictions : dict             the grammar's prediction sets (below),
+                                   filled on first use: a nonterminal id
+                                   keys the set of that one nonterminal, a
+                                   frozenset of ids the set of several
+    scan_entries: dict             pos -> the scan entry (below) at pos,
+                                   one tuple shared by the prediction sets
 
 A position numbers one dotted rule: the dot sits before `syms[pos]`, and
-moving it over that symbol is `pos + 1`. A column is any object with an
-`items` attribute, the closed items after one character prefix; the
-recognizer's prefix states are its columns. The column functions read
-columns and return new item lists for the caller to wrap. An item is a
-tuple (pos, origin): origin is the earlier column the item started in, or
-None when it started in the column that holds it. So a column refers only
-to older columns, never to itself: earlier columns stay reachable through
+moving it over that symbol is `pos + 1`. An item is a tuple (pos, origin),
+origin being the earlier column the item started in.
+
+A column is the closed items after one character prefix; the recognizer's
+prefix states are its columns. A column is any object with two
+attributes:
+
+    items : list[(pos, origin)]  its own items, the scanned ones and those
+                                 completed from them; origin is always an
+                                 older column
+    pred  : Predictions          the items it predicted, which started in
+                                 the column itself
+
+The predicted items depend only on which nonterminals the own items
+predict, so a grammar closes each such set once and its columns share the
+result. A Predictions holds only ints and scan pairs: its positions, the
+scan entries (pos + 1, chars, negated) of those before a scan pair and
+those positions themselves (`scan_at`), and `waits`, which maps a
+nonterminal id to the positions after it, one per predicted item whose
+dot is before it. Columns that predict nothing share one empty set.
+
+The column functions read columns and return a new column's own items and
+its Predictions for the caller to wrap. A column refers only to older
+columns through its own items' origins, never to itself, and no
+Predictions refers to any column: earlier columns stay reachable through
 origins and are freed by reference counting once nothing points at them.
 Item lists are frozen once closed, so forked prefixes are branch-safe by
 construction, and advancing builds one new item list without copying any.
@@ -56,6 +80,22 @@ its items, so left recursion and long literals need no bound.
 """
 
 from ..grammar import NONTERMINAL, TERMINAL, nullable_set
+
+
+class Predictions:
+    """The closed predicted items of a set of nonterminals (see Data
+    layout)."""
+
+    __slots__ = ("positions", "scans", "scan_at", "waits")
+
+    def __init__(self, positions, scans, scan_at, waits):
+        self.positions = positions
+        self.scans = scans
+        self.scan_at = scan_at
+        self.waits = waits
+
+
+NO_PREDICTIONS = Predictions((), (), (), {})
 
 
 def compile_tables(grammar):
@@ -83,54 +123,111 @@ def compile_tables(grammar):
         lhs_at.extend([lhs] * (len(syms) - len(lhs_at)))
     nullable_names = nullable_set(grammar)
     nullable = [name in nullable_names for name in names]
-    return (syms, lhs_at, starts, nullable, nt_ids[grammar.start])
+    return (syms, lhs_at, starts, nullable, nt_ids[grammar.start], {}, {})
+
+
+def _predict(tables, key):
+    """The Predictions of the nonterminals `key` names, closed under
+    predict and the nullable advance, and cached in the tables."""
+    syms, _, starts, nullable, _, predictions, scan_entries = tables
+    predicted = {key} if type(key) is int else set(key)
+    positions = []
+    for nt in predicted:
+        positions.extend(starts[nt])
+    seen = set(positions)
+    scans = []
+    scan_at = []
+    waits = {}
+    for pos in positions:  # grows as the closure adds positions
+        sym = syms[pos]
+        if type(sym) is tuple:
+            entry = scan_entries.get(pos)
+            if entry is None:
+                entry = scan_entries[pos] = (pos + 1, sym[0], sym[1])
+            scans.append(entry)
+            scan_at.append(pos)
+        elif sym is not None:
+            waits.setdefault(sym, []).append(pos + 1)
+            if sym not in predicted:
+                predicted.add(sym)
+                for p in starts[sym]:
+                    if p not in seen:
+                        seen.add(p)
+                        positions.append(p)
+            # Zero-span completions: the predicted nonterminal derives ""
+            # here, so the dot moves over it at once.
+            if nullable[sym] and pos + 1 not in seen:
+                seen.add(pos + 1)
+                positions.append(pos + 1)
+    pred = Predictions(
+        tuple(positions),
+        tuple(scans),
+        tuple(scan_at),
+        {nt: tuple(after) for nt, after in waits.items()},
+    )
+    predictions[key] = pred
+    return pred
 
 
 def _close(tables, items):
-    """Close a new column's item list under predict and complete
-    (nullable-aware); returns the list, extended in place."""
-    syms, lhs_at, starts, nullable, _ = tables
+    """Close a new column's own items under complete and the nullable
+    advance, extending the list in place; returns the column's
+    Predictions."""
+    syms, lhs_at, _, nullable, _, predictions, _ = tables
     seen = set(items)
+    first = None  # the first nonterminal predicted
+    more = None  # all of them, once there are two
     i = 0
     while i < len(items):
         pos, origin = items[i]
         i += 1
         sym = syms[pos]
         if sym is None:
-            # Zero-span completions are covered by the nullable prediction
-            # fix below; firing them here would miss late-added parents.
-            if origin is None:
-                continue
             lhs = lhs_at[pos]
             for p2, o2 in origin.items:
                 if syms[p2] == lhs:
-                    new = (p2 + 1, o2 or origin)
+                    new = (p2 + 1, o2)
+                    if new not in seen:
+                        seen.add(new)
+                        items.append(new)
+            waits = origin.pred.waits
+            if waits:  # most columns predict nothing: skip the lookup
+                for p2 in waits.get(lhs, ()):
+                    new = (p2, origin)
                     if new not in seen:
                         seen.add(new)
                         items.append(new)
         elif type(sym) is int:
-            for p in starts[sym]:
-                new = (p, None)
-                if new not in seen:
-                    seen.add(new)
-                    items.append(new)
+            if first is None:
+                first = sym
+            elif more is not None:
+                more.add(sym)
+            elif sym != first:
+                more = {first, sym}
             if nullable[sym]:
                 new = (pos + 1, origin)
                 if new not in seen:
                     seen.add(new)
                     items.append(new)
-    return items
+    if first is None:
+        return NO_PREDICTIONS
+    key = first if more is None else frozenset(more)
+    pred = predictions.get(key)
+    if pred is None:
+        pred = _predict(tables, key)
+    return pred
 
 
-def initial_items(tables):
-    """Items of the empty prefix: predicted closure of the start productions."""
-    starts, start = tables[2], tables[4]
-    return _close(tables, [(p, None) for p in starts[start]])
+def initial_column(tables):
+    """The own items and Predictions of the empty prefix's column: it owns
+    no item, since every item of it is predicted from the start
+    nonterminal."""
+    return [], _predict(tables, tables[4])
 
 
 def advance(tables, column, ch):
-    """Scan one character; returns the closed items of the column after
-    it, or None on reject.
+    """Scan one character; returns the own items and Predictions of the
+    column after it, or None on reject.
 
     The items of `column` are never mutated. The new items point at
     `column` and earlier columns through their origins, so the caller's
@@ -138,23 +235,31 @@ def advance(tables, column, ch):
     """
     syms = tables[0]
     items = []
+    # Distinct frontier items scan to distinct items.
     for pos, origin in column.items:
         sym = syms[pos]
         if type(sym) is tuple and (ch in sym[0]) != sym[1]:
-            # Distinct frontier items scan to distinct items.
-            items.append((pos + 1, origin or column))
+            items.append((pos + 1, origin))
+    scans = column.pred.scans
+    if scans:  # most columns predict nothing: skip the loop
+        for after, chars, negated in scans:
+            if (ch in chars) != negated:
+                items.append((after, column))
     if not items:
         return None
-    return _close(tables, items)
+    return items, _close(tables, items)
 
 
 def accepted(tables, initial, column):
     """Whether the prefix that ends at `column` is a full member of the
     language whose empty-prefix column is `initial`."""
-    syms, lhs_at, _, _, start = tables
+    syms, lhs_at, _, _, start, _, _ = tables
     for pos, origin in column.items:
-        if syms[pos] is None and lhs_at[pos] == start:
-            if (origin or column) is initial:
+        if origin is initial and syms[pos] is None and lhs_at[pos] == start:
+            return True
+    if column is initial:
+        for pos in column.pred.positions:
+            if syms[pos] is None and lhs_at[pos] == start:
                 return True
     return False
 
@@ -167,10 +272,11 @@ def next_chars(tables, column):
     dot (each of which allows every character outside it).
     """
     syms = tables[0]
+    pairs = [syms[pos] for pos, _ in column.items]
+    pairs.extend((chars, negated) for _, chars, negated in column.pred.scans)
     positive = set()
     negated = []
-    for pos, _ in column.items:
-        sym = syms[pos]
+    for sym in pairs:
         if type(sym) is tuple:
             if sym[1]:
                 negated.append(sym[0])
@@ -183,17 +289,22 @@ def scan_positions(tables, column):
     """The distinct positions of the column's items whose dot is before a
     scan pair: the positions its next character is scanned at."""
     syms = tables[0]
-    return {pos for pos, _ in column.items if type(syms[pos]) is tuple}
+    out = {pos for pos, _ in column.items if type(syms[pos]) is tuple}
+    scan_at = column.pred.scan_at
+    if scan_at:
+        out.update(scan_at)
+    return out
 
 
 class _Column:
     """A column that is not a recognizer state: classify's stand-in
     origin and the columns of its walk."""
 
-    __slots__ = ("items",)
+    __slots__ = ("items", "pred")
 
-    def __init__(self, items):
+    def __init__(self, items, pred=NO_PREDICTIONS):
         self.items = items
+        self.pred = pred
 
 
 def classify(tables, pos, root):
@@ -211,12 +322,13 @@ def classify(tables, pos, root):
     while walk:
         node, column, below_escape = walk.pop()
         for ch, child in node.children.items():
-            items = advance(tables, column, ch)
-            if items is None:
+            advanced = advance(tables, column, ch)
+            if advanced is None:
                 continue
             accepted.update(child.token_ids)
             if not child.children:
                 continue
+            items = advanced[0]
             escaped = not below_escape and any(
                 origin is context and syms[p] is None for p, origin in items
             )
@@ -226,5 +338,5 @@ def classify(tables, pos, root):
                     n = subtree.pop()
                     dependent.update(n.token_ids)
                     subtree.extend(n.children.values())
-            walk.append((child, _Column(items), below_escape or escaped))
+            walk.append((child, _Column(*advanced), below_escape or escaped))
     return frozenset(accepted), frozenset(dependent - accepted)

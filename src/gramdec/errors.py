@@ -55,7 +55,16 @@ class DisallowedTokenError(GramdecError):
 
 
 class NoViableHypothesisError(GramdecError):
-    """Constrained beam search ran out of viable hypotheses before any finish."""
+    """Constrained beam search ran out of viable hypotheses before any finish.
+
+    `step` is the 0-based decode step it ended at: the step whose masks
+    left no token for any hypothesis, or max_tokens when the token budget
+    ran out first.
+    """
+
+    def __init__(self, message, step):
+        super().__init__(message)
+        self.step = step
 
 
 class ScorerError(GramdecError):

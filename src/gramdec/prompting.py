@@ -80,37 +80,58 @@ def _terms(text: str):
     return text.lower().split()
 
 
+class _Bm25Index:
+    """One pool's postings: each term's (document, term frequency) pairs in
+    pool order, the document lengths and their mean."""
+
+    def __init__(self, pool):
+        docs = [_terms(doc) for doc in pool]
+        self.n = len(docs)
+        self.lengths = [len(d) for d in docs]
+        self.avgdl = sum(self.lengths) / self.n if docs else 0.0
+        self.postings: dict = {}
+        for i, d in enumerate(docs):
+            tf: dict = {}
+            for t in d:
+                tf[t] = tf.get(t, 0) + 1
+            for t, f in tf.items():
+                self.postings.setdefault(t, []).append((i, f))
+
+
+# (pool contents, index) of the last pool scored: retrieval scores many
+# queries against one pool.
+_last_index = ((), _Bm25Index(()))
+
+
+def _index(pool) -> _Bm25Index:
+    global _last_index
+    key = tuple(pool)
+    cached_key, index = _last_index
+    if key != cached_key:
+        index = _Bm25Index(key)
+        _last_index = (key, index)
+    return index
+
+
 def bm25_scores(query: str, pool, k1: float = 1.2, b: float = 0.75):
     """Okapi BM25 score of each pool document against the query.
 
     idf uses the standard 0.5-smoothed form ln((N - df + 0.5)/(df + 0.5)).
+    Each document adds its query terms' contributions in query order, a
+    repeated query term once per occurrence.
     """
-    docs = [_terms(doc) for doc in pool]
-    n = len(docs)
-    if n == 0:
-        return []
-    avgdl = sum(len(d) for d in docs) / n
-    dfs: dict = {}
-    for d in docs:
-        for t in set(d):
-            dfs[t] = dfs.get(t, 0) + 1
-    scores = []
-    q_terms = _terms(query)
-    for d in docs:
-        tf: dict = {}
-        for t in d:
-            tf[t] = tf.get(t, 0) + 1
-        dl = len(d)
-        s = 0.0
-        for t in q_terms:
-            f = tf.get(t, 0)
-            if f == 0:
-                continue
-            df = dfs[t]
-            idf = math.log((n - df + 0.5) / (df + 0.5))
-            norm = 1 - b + b * (dl / avgdl) if avgdl else 1.0
-            s += idf * f * (k1 + 1) / (f + k1 * norm)
-        scores.append(s)
+    index = _index(pool)
+    n, lengths, avgdl = index.n, index.lengths, index.avgdl
+    scores = [0.0] * n
+    for t in _terms(query):
+        postings = index.postings.get(t)
+        if postings is None:
+            continue
+        df = len(postings)
+        idf = math.log((n - df + 0.5) / (df + 0.5))
+        for i, f in postings:
+            norm = 1 - b + b * (lengths[i] / avgdl) if avgdl else 1.0
+            scores[i] += idf * f * (k1 + 1) / (f + k1 * norm)
     return scores
 
 

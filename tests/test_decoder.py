@@ -171,8 +171,11 @@ class TestDecode:
         g = reduce(parse_grammar('S -> "ab"'))
         vocab = make_vocab(["a"])
         scorer = TableScorer(vocab.size)
-        with pytest.raises(NoViableHypothesisError):
+        # after "a" the grammar needs "b", which no token spells
+        with pytest.raises(NoViableHypothesisError) as err:
             decode(scorer, g, vocab, DecodeConfig(beam_size=2, max_tokens=4))
+        assert err.value.step == 1
+        assert str(err.value) == "no hypothesis finished: every mask was empty at step 1"
 
     def test_budget_exhaustion_drops_unfinished(self):
         g = reduce(parse_grammar('S -> "a" S | "a"'))
@@ -181,8 +184,10 @@ class TestDecode:
         table_row = [math.log(0.99), math.log(0.01)]
         scorer = TableScorer(vocab.size, {})
         scorer.score = lambda prefix, conditioning="": table_row
-        with pytest.raises(NoViableHypothesisError):
+        with pytest.raises(NoViableHypothesisError) as err:
             decode(scorer, g, vocab, DecodeConfig(beam_size=1, max_tokens=5))
+        assert err.value.step == 5
+        assert str(err.value) == "no hypothesis finished within max_tokens=5"
         # a second beam slot keeps the eos hypothesis around; the budget
         # bounds finished bodies at max_tokens - 1 since eos spends a step
         results = decode(scorer, g, vocab, DecodeConfig(beam_size=2, max_tokens=5))

@@ -4,6 +4,7 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
 
 from gramdec import earley
 from gramdec.decoder import DecodeConfig, decode, train_ngram
@@ -14,7 +15,7 @@ from gramdec.grammar import Grammar, Production, Symbol, parse_grammar, reduce
 from gramdec.induction import induce_mtop_grammar, parse_mtop
 from gramdec.tokens import Vocabulary, allowed_tokens, build_trie
 
-from helpers import prefixes_of, random_grammars, saturated_prefixes
+from helpers import grammars, prefixes_of, random_grammars, saturated_prefixes
 
 ANBN = reduce(parse_grammar('@start S\nS -> "a" S "b"\nS -> ""'))
 
@@ -113,7 +114,7 @@ def test_table_layout():
     # one slot per scanned character or nonterminal, then a None end slot;
     # the epsilon terminal takes no slot
     g = parse_grammar('S -> "ab" A | ""\nA -> [^x]')
-    syms, lhs_at, starts, _, _ = kernel.compile_tables(g)
+    syms, lhs_at, starts, *_ = kernel.compile_tables(g)
     a, b, not_x = (frozenset("a"), False), (frozenset("b"), False), (frozenset("x"), True)
     assert syms == [a, b, 1, None, None, not_x, None]
     assert lhs_at == [0, 0, 0, 0, 0, 1, 1]
@@ -259,6 +260,38 @@ class TestColumns:
         finally:
             gc.enable()
 
+    def test_prediction_sets_hold_no_column(self):
+        # a grammar no other test builds, since the compile cache is
+        # process-wide
+        g = parse_grammar('S -> "{" L "}"\nL -> S L | ""')
+        text = "{" + "{}{{}}" * 20 + "}"
+
+        def live_prediction_sets():
+            return sum(type(o) is kernel.Predictions for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            assert init_state(g).advance_string(text)[0].is_complete()
+            predictions = init_state(g).tables[5]
+            cached = len(predictions)
+            assert cached > 1
+            # with the cache warm, a dropped state dies by refcounting
+            state, _ = init_state(g).advance_string(text)
+            assert len(predictions) == cached
+            ref = weakref.ref(state)
+            del state
+            assert ref() is None
+            # and a dropped grammar frees its cached prediction sets
+            before = live_prediction_sets()
+            ref = weakref.ref(init_state(g))
+            del g, predictions
+            assert ref() is None
+            assert live_prediction_sets() == before - cached
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_mask_cache_goes_with_its_trie_and_its_grammar(self):
         # a grammar no other test builds, since the compile cache is
         # process-wide
@@ -288,6 +321,89 @@ class TestColumns:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def textbook_column(tables, chart, text):
+    """The next Earley column of `chart`, the columns of `text[:-1]`, as a
+    set of (pos, origin column index): scan the last character (or seed
+    the start productions), then predict and complete until nothing
+    changes, a zero-span completion reading the growing column itself."""
+    syms, lhs_at, starts, _, start = tables[:5]
+    k = len(chart)
+    if k == 0:
+        column = {(p, 0) for p in starts[start]}
+    else:
+        ch = text[k - 1]
+        column = {
+            (pos + 1, origin)
+            for pos, origin in chart[-1]
+            if type(syms[pos]) is tuple and (ch in syms[pos][0]) != syms[pos][1]
+        }
+    changed = True
+    while changed:
+        changed = False
+        for pos, origin in list(column):
+            sym = syms[pos]
+            if sym is None:
+                waiting = column if origin == k else chart[origin]
+                new = {(p + 1, o) for p, o in waiting if syms[p] == lhs_at[pos]}
+            elif type(sym) is int:
+                new = {(p, k) for p in starts[sym]}
+            else:
+                continue
+            if not new <= column:
+                column |= new
+                changed = True
+    return column
+
+
+def assert_columns_equal_the_textbook_closure(g, viable):
+    """Along every prefix in `viable`, a state's items are its own items
+    plus its prediction set's, whose origin is the state itself; origins
+    compare as column indices."""
+    root = init_state(g)
+    paths = {"": ([root], [textbook_column(root.tables, [], "")])}
+    for word in sorted(viable, key=lambda w: (len(w), w)):
+        if word:
+            states, chart = paths[word[:-1]]
+            state = states[-1].advance_char(word[-1])
+            assert state is not None, (g, word)
+            states = states + [state]
+            chart = chart + [textbook_column(root.tables, chart, word)]
+            paths[word] = (states, chart)
+        states, chart = paths[word]
+        index = {id(s): i for i, s in enumerate(states)}
+        state = states[-1]
+        own = [(pos, index[id(origin)]) for pos, origin in state.items]
+        predicted = [(pos, len(word)) for pos in state.pred.positions]
+        assert len(set(own)) == len(own) and len(set(predicted)) == len(predicted)
+        assert set(own) | set(predicted) == chart[-1], (g, word)
+        assert all(origin < len(word) for _, origin in own), (g, word)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(grammars())
+def test_columns_equal_the_textbook_closure(g):
+    try:
+        init_state(g)
+    except EmptyLanguageError:
+        assume(False)
+    viable = saturated_prefixes(reduce(g), max_prefix_len=5, limit=5000)
+    assume(viable is not None)
+    assert_columns_equal_the_textbook_closure(g, viable)
+
+
+def test_columns_equal_the_textbook_closure_on_small_alphabets():
+    # few characters and shared nonterminals, so that columns complete
+    # into prediction sets with several items waiting on one nonterminal
+    checked = 0
+    for g, _ in random_grammars(60, seed=5, max_lang=800):
+        viable = saturated_prefixes(g, max_prefix_len=5, limit=5000)
+        if viable is None:
+            continue
+        assert_columns_equal_the_textbook_closure(g, viable)
+        checked += 1
+    assert checked >= 40
 
 
 class TestCharMask:

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramdec.errors import PromptError
 from gramdec.prompting import (
@@ -77,6 +79,69 @@ class TestBm25:
         # a document is always among the top matches for itself
         for i, doc in enumerate(POOL):
             assert bm25_rank(doc, POOL)[0] == i
+
+
+def reference_bm25_scores(query, pool, k1=1.2, b=0.75):
+    """BM25 as it was before the pool index: every query re-tokenizes the
+    pool and recounts document frequencies."""
+    docs = [doc.lower().split() for doc in pool]
+    n = len(docs)
+    if n == 0:
+        return []
+    avgdl = sum(len(d) for d in docs) / n
+    dfs = {}
+    for d in docs:
+        for t in set(d):
+            dfs[t] = dfs.get(t, 0) + 1
+    scores = []
+    q_terms = query.lower().split()
+    for d in docs:
+        tf = {}
+        for t in d:
+            tf[t] = tf.get(t, 0) + 1
+        dl = len(d)
+        s = 0.0
+        for t in q_terms:
+            f = tf.get(t, 0)
+            if f == 0:
+                continue
+            df = dfs[t]
+            idf = math.log((n - df + 0.5) / (df + 0.5))
+            norm = 1 - b + b * (dl / avgdl) if avgdl else 1.0
+            s += idf * f * (k1 + 1) / (f + k1 * norm)
+        scores.append(s)
+    return scores
+
+
+# few distinct words, so queries repeat terms and documents share them
+_WORDS = st.sampled_from(["book", "a", "meeting", "Meeting", "the", "x", "é"])
+_DOCS = st.lists(_WORDS, max_size=6).map(" ".join)  # "" is an empty document
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(_DOCS, max_size=8),
+    st.lists(_DOCS, min_size=1, max_size=4),
+    st.integers(0, 7),
+    _DOCS,
+    st.sampled_from([(1.2, 0.75), (1.5, 0.0), (0.9, 1.0)]),
+)
+def test_bm25_matches_reference_bit_for_bit(pool, queries, changed, replacement, params):
+    k1, b = params
+
+    def check():
+        for query in queries:
+            want = reference_bm25_scores(query, pool, k1, b)
+            got = bm25_scores(query, pool, k1=k1, b=b)
+            assert [s.hex() for s in got] == [s.hex() for s in want], (query, pool)
+
+    check()
+    # the same list, mutated between calls, is scored against its new contents
+    if pool:
+        pool[changed % len(pool)] = replacement
+    else:
+        pool.append(replacement)
+    check()
 
 
 SCHEMA = DbSchema([DbTable("head", [DbColumn("born_state"), DbColumn("age")])])
