@@ -191,13 +191,12 @@ def _cmd_specialize_sql(args):
 def _cmd_decode(args):
     vocab = _load(load_vocab_jsonl, args.vocab)
     grammar = _load(parse_grammar, args.grammar) if args.grammar else None
-    constrained = True if args.constrained is None else args.constrained
-    if constrained and grammar is None:
+    if args.constrained and grammar is None:
         raise UsageError("--grammar is required unless --unconstrained")
     cfg = DecodeConfig(
         beam_size=args.beam,
         max_tokens=args.max_tokens,
-        constrained=constrained,
+        constrained=args.constrained,
     )
     if args.scorer == "http":
         if not args.url:
@@ -340,7 +339,7 @@ def _build_parser():
     p.add_argument("--ngram-order", type=int, choices=range(1, 6), default=2)
     p.add_argument("--beam", type=positive_int, default=5)
     p.add_argument("--max-tokens", type=positive_int, default=128)
-    p.add_argument("--constrained", dest="constrained", action="store_true", default=None)
+    p.add_argument("--constrained", dest="constrained", action="store_true", default=True)
     p.add_argument("--unconstrained", dest="constrained", action="store_false")
     p.add_argument("--input", help="conditioning string")
     p.add_argument("--out")

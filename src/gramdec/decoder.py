@@ -235,12 +235,12 @@ class HttpScorer(Scorer):
     masks.
     """
 
-    def __init__(self, url: str, timeout: float = 10.0, session=None):
+    def __init__(self, url: str, timeout: float = 10.0):
         import requests
 
         self.url = url
         self.timeout = timeout
-        self._session = session or requests.Session()
+        self._session = requests.Session()
 
     def score(self, prefix, conditioning=""):
         import requests

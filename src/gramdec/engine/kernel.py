@@ -7,7 +7,7 @@ Data layout
 -----------
 A grammar is compiled by `compile_tables` into a tables tuple:
 
-    (syms, lhs_at, starts, nullable, start, predictions, scan_entries)
+    (syms, lhs_at, starts, nullable, start, predictions)
 
     syms        : list[sym | None] every production laid out in grammar
                                    order, one slot per rhs symbol and then
@@ -28,8 +28,6 @@ A grammar is compiled by `compile_tables` into a tables tuple:
                                    filled on first use: a nonterminal id
                                    keys the set of that one nonterminal, a
                                    frozenset of ids the set of several
-    scan_entries: dict             pos -> the scan entry (below) at pos,
-                                   one tuple shared by the prediction sets
 
 A position numbers one dotted rule: the dot sits before `syms[pos]`, and
 moving it over that symbol is `pos + 1`. An item is a tuple (pos, origin),
@@ -47,11 +45,18 @@ attributes:
 
 The predicted items depend only on which nonterminals the own items
 predict, so a grammar closes each such set once and its columns share the
-result. A Predictions holds only ints and scan pairs: its positions, the
-scan entries (pos + 1, chars, negated) of those before a scan pair and
-those positions themselves (`scan_at`), and `waits`, which maps a
-nonterminal id to the positions after it, one per predicted item whose
-dot is before it. Columns that predict nothing share one empty set.
+result. A Predictions holds only positions, each of them standing for the
+item (pos, the column that holds the set):
+
+    positions : tuple[int]               every predicted item
+    scan_at   : tuple[int]               those whose dot is before a scan
+                                         pair, read from `syms` when the
+                                         next character is scanned
+    waits     : dict[int, tuple[int]]    nonterminal id -> the positions
+                                         after it, one per predicted item
+                                         whose dot is before it
+
+Columns that predict nothing share one empty set.
 
 The column functions read columns and return a new column's own items and
 its Predictions for the caller to wrap. A column refers only to older
@@ -86,16 +91,15 @@ class Predictions:
     """The closed predicted items of a set of nonterminals (see Data
     layout)."""
 
-    __slots__ = ("positions", "scans", "scan_at", "waits")
+    __slots__ = ("positions", "scan_at", "waits")
 
-    def __init__(self, positions, scans, scan_at, waits):
+    def __init__(self, positions, scan_at, waits):
         self.positions = positions
-        self.scans = scans
         self.scan_at = scan_at
         self.waits = waits
 
 
-NO_PREDICTIONS = Predictions((), (), (), {})
+NO_PREDICTIONS = Predictions((), (), {})
 
 
 def compile_tables(grammar):
@@ -123,28 +127,23 @@ def compile_tables(grammar):
         lhs_at.extend([lhs] * (len(syms) - len(lhs_at)))
     nullable_names = nullable_set(grammar)
     nullable = [name in nullable_names for name in names]
-    return (syms, lhs_at, starts, nullable, nt_ids[grammar.start], {}, {})
+    return (syms, lhs_at, starts, nullable, nt_ids[grammar.start], {})
 
 
 def _predict(tables, key):
     """The Predictions of the nonterminals `key` names, closed under
     predict and the nullable advance, and cached in the tables."""
-    syms, _, starts, nullable, _, predictions, scan_entries = tables
+    syms, _, starts, nullable, _, predictions = tables
     predicted = {key} if type(key) is int else set(key)
     positions = []
     for nt in predicted:
         positions.extend(starts[nt])
     seen = set(positions)
-    scans = []
     scan_at = []
     waits = {}
     for pos in positions:  # grows as the closure adds positions
         sym = syms[pos]
         if type(sym) is tuple:
-            entry = scan_entries.get(pos)
-            if entry is None:
-                entry = scan_entries[pos] = (pos + 1, sym[0], sym[1])
-            scans.append(entry)
             scan_at.append(pos)
         elif sym is not None:
             waits.setdefault(sym, []).append(pos + 1)
@@ -161,7 +160,6 @@ def _predict(tables, key):
                 positions.append(pos + 1)
     pred = Predictions(
         tuple(positions),
-        tuple(scans),
         tuple(scan_at),
         {nt: tuple(after) for nt, after in waits.items()},
     )
@@ -173,7 +171,7 @@ def _close(tables, items):
     """Close a new column's own items under complete and the nullable
     advance, extending the list in place; returns the column's
     Predictions."""
-    syms, lhs_at, _, nullable, _, predictions, _ = tables
+    syms, lhs_at, _, nullable, _, predictions = tables
     seen = set(items)
     first = None  # the first nonterminal predicted
     more = None  # all of them, once there are two
@@ -240,11 +238,10 @@ def advance(tables, column, ch):
         sym = syms[pos]
         if type(sym) is tuple and (ch in sym[0]) != sym[1]:
             items.append((pos + 1, origin))
-    scans = column.pred.scans
-    if scans:  # most columns predict nothing: skip the loop
-        for after, chars, negated in scans:
-            if (ch in chars) != negated:
-                items.append((after, column))
+    for pos in column.pred.scan_at:
+        chars, negated = syms[pos]
+        if (ch in chars) != negated:
+            items.append((pos + 1, column))
     if not items:
         return None
     return items, _close(tables, items)
@@ -253,14 +250,12 @@ def advance(tables, column, ch):
 def accepted(tables, initial, column):
     """Whether the prefix that ends at `column` is a full member of the
     language whose empty-prefix column is `initial`."""
-    syms, lhs_at, _, _, start, _, _ = tables
+    syms, lhs_at, _, nullable, start, _ = tables
+    if column is initial:  # it owns no item; "" is a member iff start is nullable
+        return nullable[start]
     for pos, origin in column.items:
         if origin is initial and syms[pos] is None and lhs_at[pos] == start:
             return True
-    if column is initial:
-        for pos in column.pred.positions:
-            if syms[pos] is None and lhs_at[pos] == start:
-                return True
     return False
 
 
@@ -272,16 +267,14 @@ def next_chars(tables, column):
     dot (each of which allows every character outside it).
     """
     syms = tables[0]
-    pairs = [syms[pos] for pos, _ in column.items]
-    pairs.extend((chars, negated) for _, chars, negated in column.pred.scans)
     positive = set()
     negated = []
-    for sym in pairs:
-        if type(sym) is tuple:
-            if sym[1]:
-                negated.append(sym[0])
-            else:
-                positive.update(sym[0])
+    for pos in scan_positions(tables, column):
+        chars, is_negated = syms[pos]
+        if is_negated:
+            negated.append(chars)
+        else:
+            positive.update(chars)
     return positive, negated
 
 

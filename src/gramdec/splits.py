@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import (
     EvaluationError,
@@ -121,17 +121,7 @@ class SplitSpec:
     test_100: list
 
     def to_manifest(self) -> str:
-        data = {
-            "seed": self.seed,
-            "low_train": self.low_train,
-            "low_dev": self.low_dev,
-            "med_train": self.med_train,
-            "med_dev": self.med_dev,
-            "high_train": self.high_train,
-            "test_2k": self.test_2k,
-            "test_100": self.test_100,
-        }
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def _dialogue_groups(examples):

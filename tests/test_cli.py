@@ -324,6 +324,20 @@ class TestDecode:
         )
         assert code == 0 and json.loads(out)
 
+    def test_unconstrained(self, capsys, tmp_path, vocab_file):
+        # the corpus's one text, "ba", is outside a^n b^n
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("[1, 0, 3]\n")
+        argv = ["decode", "--vocab", vocab_file, "--ngram-corpus", str(corpus), "--beam", "1"]
+        code, _, err = run(capsys, *argv)  # constrained by default
+        assert code == 1 and "--grammar is required" in err
+        code, out, _ = run(capsys, *argv, "--unconstrained")
+        assert code == 0 and [r["text"] for r in json.loads(out)] == ["ba"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"constrained": False}))
+        code, from_config, _ = run(capsys, *argv, "--config", str(cfg))
+        assert code == 0 and from_config == out
+
 
 class TestConfig:
     def test_value_for_flag_with_default(self, capsys, tmp_path, grammar_file, vocab_file):

@@ -4,7 +4,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from gramdec import earley
 from gramdec.decoder import DecodeConfig, decode, train_ngram
@@ -383,6 +383,10 @@ def assert_columns_equal_the_textbook_closure(g, viable):
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(grammars())
+# completions into prediction sets with several items waiting on one
+# nonterminal, in the empty prefix's column and in a later one
+@example(parse_grammar('S -> A "b" | A "c"\nA -> "a"'))
+@example(parse_grammar('S -> "x" T\nT -> A "b" | A "c" | A\nA -> "a" | "a" A'))
 def test_columns_equal_the_textbook_closure(g):
     try:
         init_state(g)

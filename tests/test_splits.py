@@ -76,9 +76,17 @@ class TestMakeSplits:
         assert set(spec.test_100) <= set(spec.test_2k)
 
     def test_deterministic_manifest(self):
-        a = make_splits(DATASET, seed=7).to_manifest()
+        spec = make_splits(DATASET, seed=7)
+        a = spec.to_manifest()
         b = make_splits(DATASET, seed=7).to_manifest()
         assert a == b
+        # the manifest holds exactly the split lists and the seed
+        keys = (
+            "seed", "low_train", "low_dev", "med_train", "med_dev", "high_train",
+            "test_2k", "test_100",
+        )
+        data = {k: getattr(spec, k) for k in keys}
+        assert a == json.dumps(data, indent=2, sort_keys=True) + "\n"
         assert a != make_splits(DATASET, seed=8).to_manifest()
         json.loads(a)  # manifest is valid JSON
 
