@@ -26,8 +26,19 @@ from .induction import (
 )
 from .jsonl import json_lines
 from .lispress import parse_sexp
-from .prompting import DIALOGUE_MODES, SQL_MODES, ContextMode, PromptExample
-from .prompting import bm25_scores, build_prompt, render_input
+from .prompting import (
+    DEFAULT_BUDGET,
+    DEFAULT_MAX_EXAMPLES,
+    DIALOGUE_MODES,
+    ORDER_BEST_LAST,
+    ORDERS,
+    SQL_MODES,
+    ContextMode,
+    PromptExample,
+    bm25_scores,
+    build_prompt,
+    render_input,
+)
 from .splits import (
     MetricReport,
     aggregate_low,
@@ -191,13 +202,11 @@ def _cmd_specialize_sql(args):
 def _cmd_decode(args):
     vocab = _load(load_vocab_jsonl, args.vocab)
     grammar = _load(parse_grammar, args.grammar) if args.grammar else None
-    if args.constrained and grammar is None:
+    if not args.constrained:
+        grammar = None  # a grammar given to decode constrains it
+    elif grammar is None:
         raise UsageError("--grammar is required unless --unconstrained")
-    cfg = DecodeConfig(
-        beam_size=args.beam,
-        max_tokens=args.max_tokens,
-        constrained=args.constrained,
-    )
+    cfg = DecodeConfig(beam_size=args.beam, max_tokens=args.max_tokens)
     if args.scorer == "http":
         if not args.url:
             raise UsageError("--url is required for the http scorer")
@@ -358,11 +367,9 @@ def _build_parser():
     p.add_argument("--target", required=True, help="rendered target input")
     p.add_argument("--context-mode", choices=DIALOGUE_MODES + SQL_MODES, default="none")
     p.add_argument("--db-values", action="store_true")
-    p.add_argument(
-        "--order", choices=["random", "best_first", "best_last"], default="best_last"
-    )
-    p.add_argument("--budget", type=int, default=1500)
-    p.add_argument("--max-examples", type=int, default=20)
+    p.add_argument("--order", choices=ORDERS, default=ORDER_BEST_LAST)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--max-examples", type=int, default=DEFAULT_MAX_EXAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_build_prompt)
 
@@ -397,13 +404,16 @@ def _config_object(text: str) -> dict:
 def _with_config(parser, command, argv, path):
     """Parse argv again over the flag defaults in the JSON config at path,
     so explicit flags win. A config value goes through its flag's type and
-    choices as a flag value does."""
+    choices as a flag value does, and one for a flag that takes no value
+    must be a JSON boolean."""
     data = _load(_config_object, path)
     actions = {a.dest: a for a in command._actions}
     defaults = {}
     for key, value in data.items():
         action = actions.get(key.replace("-", "_"))
         if action is not None:
+            if action.nargs == 0 and type(value) is not bool:
+                raise UsageError(f"config: {key} takes true or false, not {value!r}")
             # argparse runs a string default through the flag's type
             defaults[action.dest] = str(value) if action.type else value
     command.set_defaults(**defaults)

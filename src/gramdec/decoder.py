@@ -40,7 +40,6 @@ class Scorer:
 class DecodeConfig:
     beam_size: int = 5
     max_tokens: int = 128
-    constrained: bool = True
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -82,13 +81,13 @@ def decode(
 ):
     """Beam search; returns DecodeResults sorted best-first.
 
-    Ties on equal score break by lexicographic token-id order, then beam
-    slot, so runs are deterministic. Scores are exact sums of the chosen
-    per-step log-scores.
+    Decoding is constrained exactly when a grammar is given. Ties on
+    equal score break by lexicographic token-id order, then beam slot, so
+    runs are deterministic. Scores are exact sums of the chosen per-step
+    log-scores.
     """
-    if cfg.constrained:
-        if grammar is None:
-            raise ValueError("constrained decoding requires a grammar")
+    constrained = grammar is not None
+    if constrained:
         if trie is None:
             trie = build_trie(vocab)
         root = init_state(grammar)
@@ -106,7 +105,7 @@ def decode(
         streams = []
         for slot, hyp in enumerate(active):
             scores = _checked_scores(scorer, hyp.tokens, conditioning, vocab.size)
-            if cfg.constrained:
+            if constrained:
                 legal = allowed_tokens(hyp.state, trie)
             else:
                 legal = range(vocab.size)
@@ -131,11 +130,7 @@ def decode(
                     Hypothesis(parent.tokens + (eos,), score, parent.state)
                 )
             else:
-                state = (
-                    advance_token(parent.state, trie, tid)
-                    if cfg.constrained
-                    else None
-                )
+                state = advance_token(parent.state, trie, tid) if constrained else None
                 next_active.append(
                     Hypothesis(parent.tokens + (tid,), score, state)
                 )
@@ -145,7 +140,7 @@ def decode(
         step += 1
 
     pool = list(finished)
-    if not cfg.constrained:
+    if not constrained:
         # Unfinished hypotheses compete as-is; constrained mode drops them
         # since a truncated prefix is not a language member.
         pool.extend(active)

@@ -1,13 +1,14 @@
 """Character-incremental Earley recognition.
 
 A PrefixState is the frontier column of the chart after consuming a
-character prefix: it holds that column's own closed items and the
-grammar's shared set of the items it predicted, and the earlier columns
-are the states its own items' origins point at. States are values:
-advancing builds one new state, never mutates or copies the earlier ones,
-so beam-search branches can fork freely. A prefix survives exactly when it
-extends to some member of the language: recognition runs on the reduced
-grammar, which this module builds and compiles once per grammar.
+character prefix: it holds that column's own closed items, also indexed by
+the nonterminal each waits on, and the grammar's shared set of the items
+it predicted, and the earlier columns are the states its own items'
+origins point at. States are values: advancing builds one new state,
+never mutates or copies the earlier ones, so beam-search branches can
+fork freely. A prefix survives exactly when it extends to some member of
+the language: recognition runs on the reduced grammar, which this module
+builds and compiles once per grammar.
 """
 
 from __future__ import annotations
@@ -92,16 +93,18 @@ class CharMask:
 class PrefixState:
     """Earley recognizer state after consuming a character prefix: the
     grammar's tables, the empty-prefix state (None on that state itself,
-    so no state refers to itself), and the frontier column's own items and
-    its shared prediction set. States are weakly referable, so a cache can
-    key on a grammar's empty-prefix state and go with the grammar."""
+    so no state refers to itself), and the frontier column's own items,
+    its waits and its shared prediction set. States are weakly referable,
+    so a cache can key on a grammar's empty-prefix state and go with the
+    grammar."""
 
-    __slots__ = ("tables", "initial", "items", "pred", "__weakref__")
+    __slots__ = ("tables", "initial", "items", "waits", "pred", "__weakref__")
 
-    def __init__(self, tables, initial: "PrefixState | None", items, pred):
+    def __init__(self, tables, initial: "PrefixState | None", items, waits, pred):
         self.tables = tables
         self.initial = initial
         self.items = items
+        self.waits = waits
         self.pred = pred
 
     def advance_char(self, c: str) -> "PrefixState | None":
@@ -111,8 +114,7 @@ class PrefixState:
         advanced = kernel.advance(self.tables, self, c)
         if advanced is None:
             return None
-        items, pred = advanced
-        return PrefixState(self.tables, self.initial or self, items, pred)
+        return PrefixState(self.tables, self.initial or self, *advanced)
 
     def advance_string(self, s: str) -> "tuple[PrefixState | None, int]":
         """Advance over each character; returns (state or None, chars consumed)."""

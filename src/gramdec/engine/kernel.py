@@ -34,12 +34,15 @@ moving it over that symbol is `pos + 1`. An item is a tuple (pos, origin),
 origin being the earlier column the item started in.
 
 A column is the closed items after one character prefix; the recognizer's
-prefix states are its columns. A column is any object with two
+prefix states are its columns. A column is any object with three
 attributes:
 
     items : list[(pos, origin)]  its own items, the scanned ones and those
                                  completed from them; origin is always an
                                  older column
+    waits : dict[int, list]      nonterminal id -> the own items whose dot
+                                 is before it, moved over it as (pos + 1,
+                                 origin); its keys are what it predicts
     pred  : Predictions          the items it predicted, which started in
                                  the column itself
 
@@ -56,14 +59,16 @@ item (pos, the column that holds the set):
                                          after it, one per predicted item
                                          whose dot is before it
 
-Columns that predict nothing share one empty set.
+Columns that predict nothing share one empty set and one empty waits. An
+end slot's item (pos, origin) completes with what origin's two waits hold
+for `lhs_at[pos]`.
 
-The column functions read columns and return a new column's own items and
-its Predictions for the caller to wrap. A column refers only to older
-columns through its own items' origins, never to itself, and no
+The column functions read columns and return a new column's own items,
+waits and Predictions for the caller to wrap. A column refers only to
+older columns through its own items' origins, never to itself, and no
 Predictions refers to any column: earlier columns stay reachable through
 origins and are freed by reference counting once nothing points at them.
-Item lists are frozen once closed, so forked prefixes are branch-safe by
+Columns are frozen once closed, so forked prefixes are branch-safe by
 construction, and advancing builds one new item list without copying any.
 
 Token splits
@@ -100,6 +105,7 @@ class Predictions:
 
 
 NO_PREDICTIONS = Predictions((), (), {})
+NO_WAITS = {}  # the waits of every column with no item waiting; never mutated
 
 
 def compile_tables(grammar):
@@ -169,12 +175,11 @@ def _predict(tables, key):
 
 def _close(tables, items):
     """Close a new column's own items under complete and the nullable
-    advance, extending the list in place; returns the column's
+    advance, extending the list in place; returns the column's waits and
     Predictions."""
     syms, lhs_at, _, nullable, _, predictions = tables
     seen = set(items)
-    first = None  # the first nonterminal predicted
-    more = None  # all of them, once there are two
+    waits = {}
     i = 0
     while i < len(items):
         pos, origin = items[i]
@@ -182,50 +187,42 @@ def _close(tables, items):
         sym = syms[pos]
         if sym is None:
             lhs = lhs_at[pos]
-            for p2, o2 in origin.items:
-                if syms[p2] == lhs:
-                    new = (p2 + 1, o2)
-                    if new not in seen:
-                        seen.add(new)
-                        items.append(new)
-            waits = origin.pred.waits
-            if waits:  # most columns predict nothing: skip the lookup
-                for p2 in waits.get(lhs, ()):
+            for new in origin.waits.get(lhs, ()):
+                if new not in seen:
+                    seen.add(new)
+                    items.append(new)
+            pred_waits = origin.pred.waits
+            if pred_waits:  # most columns predict nothing: skip the lookup
+                for p2 in pred_waits.get(lhs, ()):
                     new = (p2, origin)
                     if new not in seen:
                         seen.add(new)
                         items.append(new)
         elif type(sym) is int:
-            if first is None:
-                first = sym
-            elif more is not None:
-                more.add(sym)
-            elif sym != first:
-                more = {first, sym}
-            if nullable[sym]:
-                new = (pos + 1, origin)
-                if new not in seen:
-                    seen.add(new)
-                    items.append(new)
-    if first is None:
-        return NO_PREDICTIONS
-    key = first if more is None else frozenset(more)
+            new = (pos + 1, origin)
+            waits.setdefault(sym, []).append(new)
+            if nullable[sym] and new not in seen:
+                seen.add(new)
+                items.append(new)
+    if not waits:
+        return NO_WAITS, NO_PREDICTIONS
+    key = next(iter(waits)) if len(waits) == 1 else frozenset(waits)
     pred = predictions.get(key)
     if pred is None:
         pred = _predict(tables, key)
-    return pred
+    return waits, pred
 
 
 def initial_column(tables):
-    """The own items and Predictions of the empty prefix's column: it owns
-    no item, since every item of it is predicted from the start
+    """The own items, waits and Predictions of the empty prefix's column:
+    it owns no item, since every item of it is predicted from the start
     nonterminal."""
-    return [], _predict(tables, tables[4])
+    return [], NO_WAITS, _predict(tables, tables[4])
 
 
 def advance(tables, column, ch):
-    """Scan one character; returns the own items and Predictions of the
-    column after it, or None on reject.
+    """Scan one character; returns the own items, waits and Predictions of
+    the column after it, or None on reject.
 
     The items of `column` are never mutated. The new items point at
     `column` and earlier columns through their origins, so the caller's
@@ -244,7 +241,8 @@ def advance(tables, column, ch):
             items.append((pos + 1, column))
     if not items:
         return None
-    return items, _close(tables, items)
+    waits, pred = _close(tables, items)
+    return items, waits, pred
 
 
 def accepted(tables, initial, column):
@@ -293,10 +291,11 @@ class _Column:
     """A column that is not a recognizer state: classify's stand-in
     origin and the columns of its walk."""
 
-    __slots__ = ("items", "pred")
+    __slots__ = ("items", "waits", "pred")
 
-    def __init__(self, items, pred=NO_PREDICTIONS):
+    def __init__(self, items, waits=NO_WAITS, pred=NO_PREDICTIONS):
         self.items = items
+        self.waits = waits
         self.pred = pred
 
 

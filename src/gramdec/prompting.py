@@ -33,6 +33,12 @@ MODE_SQL_ALL_INTERACTIONS = "sql_all_interactions"
 DIALOGUE_MODES = (MODE_NONE, MODE_LAST_AGENT, MODE_LAST_USER_AND_AGENT)
 SQL_MODES = (MODE_SQL_NONE, MODE_SQL_LAST_INTERACTION, MODE_SQL_ALL_INTERACTIONS)
 
+# Prompt example orderings
+ORDER_RANDOM = "random"
+ORDER_BEST_FIRST = "best_first"
+ORDER_BEST_LAST = "best_last"
+ORDERS = (ORDER_RANDOM, ORDER_BEST_FIRST, ORDER_BEST_LAST)
+
 
 @dataclass(frozen=True)
 class ContextMode:
@@ -158,11 +164,6 @@ class PromptExample:
             raise PromptError("prompt example has non-finite relevance")
 
 
-ORDER_RANDOM = "random"
-ORDER_BEST_FIRST = "best_first"
-ORDER_BEST_LAST = "best_last"
-
-
 @dataclass
 class Prompt:
     text: str
@@ -205,7 +206,7 @@ def build_prompt(
     arranged per `order` (best_last puts the most relevant example
     immediately before the target block).
     """
-    if order not in (ORDER_RANDOM, ORDER_BEST_FIRST, ORDER_BEST_LAST):
+    if order not in ORDERS:
         raise PromptError(f"unknown ordering {order!r}")
     if counter(_assemble([], target)) > budget:
         raise PromptError("budget too small for the header and target block")

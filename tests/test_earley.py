@@ -11,11 +11,31 @@ from gramdec.decoder import DecodeConfig, decode, train_ngram
 from gramdec.earley import CharMask, check_string, init_state
 from gramdec.engine import kernel
 from gramdec.errors import EmptyLanguageError
-from gramdec.grammar import Grammar, Production, Symbol, parse_grammar, reduce
+from gramdec.grammar import (
+    Grammar,
+    Production,
+    Symbol,
+    enumerate_language,
+    parse_grammar,
+    reduce,
+)
 from gramdec.induction import induce_mtop_grammar, parse_mtop
+from gramdec.sql import (
+    DbColumn,
+    DbSchema,
+    DbTable,
+    load_base_sql_grammar,
+    specialize_sql_grammar,
+)
 from gramdec.tokens import Vocabulary, allowed_tokens, build_trie
 
-from helpers import grammars, prefixes_of, random_grammars, saturated_prefixes
+from helpers import (
+    grammar_alphabet,
+    grammars,
+    prefixes_of,
+    random_grammars,
+    saturated_prefixes,
+)
 
 ANBN = reduce(parse_grammar('@start S\nS -> "a" S "b"\nS -> ""'))
 
@@ -38,8 +58,6 @@ class TestInit:
 
     def test_initial_allowed_chars(self):
         # oracle: first characters of enumerated members
-        from gramdec.grammar import enumerate_language
-
         firsts = {w[0] for w in enumerate_language(ANBN, 6) if w}
         assert init_state(ANBN).allowed_next_chars() == firsts == {"a"}
 
@@ -243,6 +261,35 @@ class TestColumns:
         shallow, deep = best_of_3(100), best_of_3(5000)
         assert deep < 5 * shallow, (shallow, deep)
 
+    @pytest.mark.parametrize("literal", ["sql_string", "mtop_text"])
+    def test_literal_character_cost_grows_linearly(self, literal):
+        # each character of a right-recursive literal completes the chain
+        # of all earlier ones: the last character of n=1600 costs about 8x
+        # that of n=200 when completion looks its parents up, and about
+        # 57x when it scans each origin column
+        if literal == "sql_string":
+            schema = DbSchema([DbTable("t", [DbColumn("c")])])
+            g = specialize_sql_grammar(load_base_sql_grammar(), schema)
+            opening = "SELECT c FROM t WHERE c = '"
+        else:
+            g = induce_mtop_grammar([parse_mtop("[IN:A [SL:B x]]")])
+            opening = "[IN:A [SL:B "
+
+        def advance_time(state):
+            t = time.perf_counter()
+            assert state.advance_char("x") is not None
+            return time.perf_counter() - t
+
+        short_state, _ = init_state(g).advance_string(opening + "x" * 199)
+        long_state, _ = short_state.advance_string("x" * 1400)
+        gc.disable()  # one collection inside a timing would swamp it
+        try:
+            times = [(advance_time(short_state), advance_time(long_state)) for _ in range(20)]
+        finally:
+            gc.enable()
+        short, long = map(min, zip(*times))
+        assert long < 20 * short, (short, long)
+
     def test_columns_form_no_reference_cycles(self):
         # refcounting alone frees a dropped state's columns, and then a
         # dropped grammar's compiled entry (a grammar no other test builds,
@@ -395,6 +442,43 @@ def test_columns_equal_the_textbook_closure(g):
     viable = saturated_prefixes(reduce(g), max_prefix_len=5, limit=5000)
     assume(viable is not None)
     assert_columns_equal_the_textbook_closure(g, viable)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(grammars())
+# completions into a column with several own items waiting on one
+# nonterminal, and into prediction sets with several
+@example(parse_grammar('S -> "x" A "b" | "x" A "c"\nA -> "a" | "a" A'))
+@example(parse_grammar('S -> "x" T\nT -> A "b" | A "c" | A\nA -> "a" | "a" A'))
+def test_check_string_agrees_with_enumeration(g):
+    # every viable word up to the certified length, and each word one
+    # character past a viable prefix (one character may lie outside the
+    # grammar's), a dead one also with a character after the dead one
+    try:
+        init_state(g)
+    except EmptyLanguageError:
+        assume(False)
+    bound = 5
+    viable = saturated_prefixes(reduce(g), max_prefix_len=bound, limit=5000)
+    assume(viable is not None)
+    members = enumerate_language(reduce(g), bound, limit=5000)
+    alphabet = grammar_alphabet(g)
+    alphabet.add(min({chr(i) for i in range(len(alphabet) + 1)} - alphabet))
+    words = set(viable)
+    for prefix in viable:
+        if len(prefix) < bound:
+            for c in alphabet:
+                words.add(prefix + c)
+                if prefix + c not in viable:
+                    words.add(prefix + c + c)
+    for word in sorted(words):
+        verdict, offset = check_string(g, word)
+        if word in viable:
+            expected = ("accepted" if word in members else "incomplete", len(word))
+        else:
+            dead = next(k for k in range(len(word)) if word[: k + 1] not in viable)
+            expected = ("rejected", dead)
+        assert (verdict, offset) == expected, (g, word)
 
 
 def test_columns_equal_the_textbook_closure_on_small_alphabets():
