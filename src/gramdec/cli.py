@@ -83,6 +83,14 @@ def _load(parse, path: str):
         raise GramdecError(f"{path}: {exc}") from None
 
 
+def _parse_grammar_file(text: str):
+    """parse_grammar(text), raising EmptyLanguageError too when the grammar
+    derives no string, so that `_load` names the file for that as well."""
+    g = parse_grammar(text)
+    init_state(g)  # compiled once: later states of g share it
+    return g
+
+
 def _ngram_corpus(text: str, vocab_size: int):
     """The token-id lists of an n-gram corpus, one JSON list per line."""
     corpus = []
@@ -101,7 +109,7 @@ def _ngram_corpus(text: str, vocab_size: int):
 
 def _prefix_state(args):
     """The recognizer state after --prefix under --grammar."""
-    g = _load(parse_grammar, args.grammar)
+    g = _load(_parse_grammar_file, args.grammar)
     state, consumed = init_state(g).advance_string(args.prefix)
     if state is None:
         raise GramdecError(f"prefix rejected at offset {consumed}")
@@ -139,7 +147,7 @@ def _emit(args, payload: dict, plain: str):
 
 
 def _cmd_check(args):
-    verdict, offset = check_string(_load(parse_grammar, args.grammar), args.input)
+    verdict, offset = check_string(_load(_parse_grammar_file, args.grammar), args.input)
     if verdict == "accepted":
         _emit(args, {"verdict": verdict}, verdict)
         return 0
@@ -201,7 +209,7 @@ def _cmd_specialize_sql(args):
 
 def _cmd_decode(args):
     vocab = _load(load_vocab_jsonl, args.vocab)
-    grammar = _load(parse_grammar, args.grammar) if args.grammar else None
+    grammar = _load(_parse_grammar_file, args.grammar) if args.grammar else None
     if not args.constrained:
         grammar = None  # a grammar given to decode constrains it
     elif grammar is None:

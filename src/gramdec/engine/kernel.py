@@ -51,10 +51,10 @@ predict, so a grammar closes each such set once and its columns share the
 result. A Predictions holds only positions, each of them standing for the
 item (pos, the column that holds the set):
 
-    positions : tuple[int]               every predicted item
-    scan_at   : tuple[int]               those whose dot is before a scan
-                                         pair, read from `syms` when the
-                                         next character is scanned
+    scan_at   : tuple[int]               the predicted items whose dot is
+                                         before a scan pair, read from
+                                         `syms` when the next character is
+                                         scanned
     waits     : dict[int, tuple[int]]    nonterminal id -> the positions
                                          after it, one per predicted item
                                          whose dot is before it
@@ -96,15 +96,14 @@ class Predictions:
     """The closed predicted items of a set of nonterminals (see Data
     layout)."""
 
-    __slots__ = ("positions", "scan_at", "waits")
+    __slots__ = ("scan_at", "waits")
 
-    def __init__(self, positions, scan_at, waits):
-        self.positions = positions
+    def __init__(self, scan_at, waits):
         self.scan_at = scan_at
         self.waits = waits
 
 
-NO_PREDICTIONS = Predictions((), (), {})
+NO_PREDICTIONS = Predictions((), {})
 NO_WAITS = {}  # the waits of every column with no item waiting; never mutated
 
 
@@ -165,9 +164,7 @@ def _predict(tables, key):
                 seen.add(pos + 1)
                 positions.append(pos + 1)
     pred = Predictions(
-        tuple(positions),
-        tuple(scan_at),
-        {nt: tuple(after) for nt, after in waits.items()},
+        tuple(scan_at), {nt: tuple(after) for nt, after in waits.items()}
     )
     predictions[key] = pred
     return pred

@@ -8,6 +8,7 @@ only legal as a production's entire right-hand side.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import (
@@ -22,8 +23,7 @@ TERMINAL = "terminal"
 NONTERMINAL = "nonterminal"
 CHARCLASS = "charclass"
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,16 @@ class Grammar:
     def _validate(self):
         if not self.start:
             raise GrammarValidationError("start symbol is empty")
-        defined = {p.lhs for p in self.productions}
+        defined = dict.fromkeys(p.lhs for p in self.productions)
         if self.start not in defined:
             raise GrammarValidationError(
                 f"start symbol {self.start!r} has no productions"
             )
+        for name in defined:
+            if not _NAME.fullmatch(name):  # the text format could not spell it
+                raise GrammarValidationError(f"bad nonterminal name {name!r}")
         seen = set()
         for p in self.productions:
-            if not p.lhs:
-                raise GrammarValidationError("empty nonterminal name")
             key = (p.lhs, p.rhs)
             if key in seen:
                 raise GrammarValidationError(
@@ -147,97 +148,73 @@ class Grammar:
 
 _LITERAL_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 _CLASS_ESCAPES = {"]": "]", "\\": "\\", "n": "\n", "t": "\t", "-": "-", "^": "^", "[": "["}
+_LITERAL_TABLE = str.maketrans({c: "\\" + e for e, c in _LITERAL_ESCAPES.items()})
+_CLASS_TABLE = str.maketrans({c: "\\" + e for e, c in _CLASS_ESCAPES.items()})
+
+# One rhs item: blanks, "|", a literal, a class, a name, or any other
+# character. A literal's or class's body runs to its closing character or
+# to the end of the line, and may end in a lone backslash.
+_ITEM = re.compile(
+    r'[ \t]+|(\|)|"((?:[^"\\]|\\.?)*)("?)|\[(\^?)((?:[^\]\\]|\\.?)*)(\]?)'
+    rf"|({_NAME.pattern})|(.)",
+    re.S,
+)
+_ESCAPE = re.compile(r"\\(.?)", re.S)
+# One part of a class body: an escape, a range, or one character.
+_CLASS_PART = re.compile(r"\\(.?)|([^\\])-([^\\])|(.)", re.S)
 
 
 def _parse_rhs_items(lineno: int, start_col: int, text: str):
     """Parse a rule's rhs into its alternatives, each a list of Symbols.
 
     A top-level ``|`` ends an alternative; inside quotes and classes it is
-    an ordinary character. An empty alternative is epsilon.
+    an ordinary character. An empty alternative is epsilon. Errors are
+    reported left to right, so a bad part of a body wins over a missing
+    closing character.
     """
     alts = []
     items = []
-    i = 0
-    n = len(text)
 
     def err(msg, offset):
         raise GrammarSyntaxError(msg, lineno, start_col + offset + 1)
 
-    while i < n:
-        c = text[i]
-        if c in " \t":
-            i += 1
-            continue
-        if c == "|":
+    for m in _ITEM.finditer(text):
+        bar, lit, lit_end, negated, body, cls_end, name, other = m.groups()
+        if bar:
             alts.append(items)
             items = []
-            i += 1
-        elif c == '"':
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    err("unterminated string literal", i)
-                ch = text[j]
-                if ch == '"':
-                    break
-                if ch == "\\":
-                    if j + 1 >= n or text[j + 1] not in _LITERAL_ESCAPES:
-                        err("bad escape in string literal", j)
-                    buf.append(_LITERAL_ESCAPES[text[j + 1]])
-                    j += 2
-                else:
-                    buf.append(ch)
-                    j += 1
-            items.append(Symbol.t("".join(buf)))
-            i = j + 1
-        elif c == "[":
-            j = i + 1
-            negated = False
-            if j < n and text[j] == "^":
-                negated = True
-                j += 1
+        elif lit is not None:
+            if "\\" in lit:
+                for e in _ESCAPE.finditer(text, m.start(2), m.end(2)):
+                    if e[1] not in _LITERAL_ESCAPES:
+                        err("bad escape in string literal", e.start())
+                lit = _ESCAPE.sub(lambda e: _LITERAL_ESCAPES[e[1]], lit)
+            if not lit_end:
+                err("unterminated string literal", m.start())
+            items.append(Symbol.t(lit))
+        elif body is not None:
             chars = set()
-            closed = False
-            while j < n:
-                ch = text[j]
-                if ch == "]":
-                    closed = True
-                    j += 1
-                    break
-                if ch == "\\":
-                    if j + 1 >= n or text[j + 1] not in _CLASS_ESCAPES:
-                        err("bad escape in character class", j)
-                    chars.add(_CLASS_ESCAPES[text[j + 1]])
-                    j += 2
-                    continue
-                if (
-                    j + 2 < n
-                    and text[j + 1] == "-"
-                    and text[j + 2] not in "]\\"
-                ):
-                    lo, hi = ch, text[j + 2]
-                    if ord(lo) > ord(hi):
-                        err(f"inverted range {lo}-{hi}", j)
-                    chars.update(chr(k) for k in range(ord(lo), ord(hi) + 1))
-                    j += 3
-                    continue
-                chars.add(ch)
-                j += 1
-            if not closed:
-                err("unterminated character class", i)
+            for part in _CLASS_PART.finditer(text, m.start(5), m.end(5)):
+                escape, lo, hi, char = part.groups()
+                if escape is not None:
+                    if escape not in _CLASS_ESCAPES:
+                        err("bad escape in character class", part.start())
+                    chars.add(_CLASS_ESCAPES[escape])
+                elif lo is not None:
+                    if lo > hi:
+                        err(f"inverted range {lo}-{hi}", part.start())
+                    chars.update(map(chr, range(ord(lo), ord(hi) + 1)))
+                else:
+                    chars.add(char)
+            if not cls_end:
+                err("unterminated character class", m.start())
             if not chars:
-                err("empty character class", i)
-            items.append(Symbol.cc(chars, negated))
-            i = j
-        elif c in _IDENT_START:
-            j = i + 1
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            items.append(Symbol.nt(text[i:j]))
-            i = j
-        else:
-            err(f"unexpected character {c!r}", i)
+                err("empty character class", m.start())
+            items.append(Symbol.cc(chars, bool(negated)))
+        elif name:
+            items.append(Symbol.nt(name))
+        elif other:
+            err(f"unexpected character {other!r}", m.start())
     alts.append(items)
     return alts
 
@@ -250,7 +227,9 @@ def parse_grammar(text: str) -> Grammar:
     ``[...]``/``[^...]`` character class, or a bare nonterminal identifier.
     ``|`` separates alternatives on one line. The first rule's lhs is the
     start symbol unless ``@start`` overrides it. Lines end at ``\n`` only,
-    so literals and classes may hold any other character.
+    so literals and classes may hold any other character. A backslash
+    escapes what ``_LITERAL_ESCAPES`` names in a literal and what
+    ``_CLASS_ESCAPES`` names in a class; ``a-z`` in a class is a range.
     """
     productions = []
     start = None
@@ -273,9 +252,7 @@ def parse_grammar(text: str) -> Grammar:
             raise GrammarSyntaxError("expected 'Name -> ...' rule", lineno, 1)
         lhs_text, _, rhs_text = line.partition("->")
         lhs = lhs_text.strip()
-        if not lhs or lhs[0] not in _IDENT_START or any(
-            c not in _IDENT_CONT for c in lhs
-        ):
+        if not _NAME.fullmatch(lhs):
             raise GrammarSyntaxError(f"bad nonterminal name {lhs!r}", lineno, 1)
         if first_lhs is None:
             first_lhs = lhs
@@ -290,38 +267,12 @@ def parse_grammar(text: str) -> Grammar:
     return Grammar(start, productions)
 
 
-def _escape_literal(text: str) -> str:
-    out = []
-    for c in text:
-        if c == "\\":
-            out.append("\\\\")
-        elif c == '"':
-            out.append('\\"')
-        elif c == "\n":
-            out.append("\\n")
-        elif c == "\t":
-            out.append("\\t")
-        else:
-            out.append(c)
-    return '"' + "".join(out) + '"'
-
-
-def _escape_class_char(c: str) -> str:
-    if c in "]\\-^[":
-        return "\\" + c
-    if c == "\n":
-        return "\\n"
-    if c == "\t":
-        return "\\t"
-    return c
-
-
 def _serialize_symbol(sym: Symbol) -> str:
     if sym.kind == TERMINAL:
-        return _escape_literal(sym.text)
+        return '"' + sym.text.translate(_LITERAL_TABLE) + '"'
     if sym.kind == NONTERMINAL:
         return sym.name
-    body = "".join(_escape_class_char(c) for c in sorted(sym.chars))
+    body = "".join(sorted(sym.chars)).translate(_CLASS_TABLE)
     return "[" + ("^" if sym.negated else "") + body + "]"
 
 
@@ -342,18 +293,25 @@ def _production_rhs_nts(p: Production):
     return [s.name for s in p.rhs if s.kind == NONTERMINAL]
 
 
-def reduce(g: Grammar) -> Grammar:
-    """Strip unreachable and unproductive nonterminals; language unchanged."""
-    productive = set()
+def _derivers(g: Grammar, leaf) -> set:
+    """Nonterminals with a production made only of nonterminals in the set
+    and of literals and classes that `leaf` accepts, by fixpoint."""
+    found = set()
     changed = True
     while changed:
         changed = False
         for p in g.productions:
-            if p.lhs in productive:
-                continue
-            if all(n in productive for n in _production_rhs_nts(p)):
-                productive.add(p.lhs)
+            if p.lhs not in found and all(
+                s.name in found if s.kind == NONTERMINAL else leaf(s) for s in p.rhs
+            ):
+                found.add(p.lhs)
                 changed = True
+    return found
+
+
+def reduce(g: Grammar) -> Grammar:
+    """Strip unreachable and unproductive nonterminals; language unchanged."""
+    productive = _derivers(g, lambda s: True)
     if g.start not in productive:
         raise EmptyLanguageError(
             f"start symbol {g.start!r} derives no terminal string"
@@ -382,29 +340,7 @@ def reduce(g: Grammar) -> Grammar:
 
 def nullable_set(g: Grammar) -> set:
     """Nonterminals that derive the empty string."""
-    nullable = set()
-    changed = True
-    while changed:
-        changed = False
-        for p in g.productions:
-            if p.lhs in nullable:
-                continue
-            ok = True
-            for s in p.rhs:
-                if s.kind == TERMINAL:
-                    if s.text != "":
-                        ok = False
-                        break
-                elif s.kind == CHARCLASS:
-                    ok = False
-                    break
-                elif s.name not in nullable:
-                    ok = False
-                    break
-            if ok:
-                nullable.add(p.lhs)
-                changed = True
-    return nullable
+    return _derivers(g, lambda s: s.kind == TERMINAL and not s.text)
 
 
 _ENUM_LIMIT = 10**6

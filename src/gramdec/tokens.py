@@ -142,15 +142,6 @@ class TokenTrie:
                 node = nxt
             node.token_ids.append(tid)
 
-    def lookup(self, text: str):
-        """Token ids whose string is exactly `text` (empty list if none)."""
-        node = self.root
-        for ch in text:
-            node = node.children.get(ch)
-            if node is None:
-                return []
-        return list(node.token_ids)
-
     def _frontier_splits(self, s: PrefixState):
         """The splits of the scan positions on the state's frontier, each
         classified on its first use by any state of the grammar."""

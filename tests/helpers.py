@@ -235,6 +235,23 @@ def grammar_alphabet(grammar):
 CHARS = st.characters(exclude_categories=("Cs",))
 _NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
 
+# the grammar format's special characters and blanks, and a few whole
+# items, so that some drawn texts are grammars
+_TEXT_PIECES = list('SA_"\\[]^-|>#@$ant09 \t\r') + ['"a"', "[a-c]", " S", " A", '""']
+
+
+def grammar_texts():
+    """Hypothesis strategy: hostile grammar text, lines of rules and of
+    anything else."""
+    junk = st.lists(st.sampled_from(_TEXT_PIECES + ["->", "@start ", "\n"]), max_size=10)
+    rule = st.tuples(
+        st.sampled_from(["S", "A", "  S", "1x", ""]),
+        st.sampled_from([" -> ", "->", "  ->", " "]),
+        st.lists(st.sampled_from(_TEXT_PIECES), max_size=8).map("".join),
+    )
+    line = st.one_of(rule, rule, rule, junk).map("".join)  # rules 3 times as often
+    return st.lists(line, max_size=4).map("\n".join)
+
 
 @st.composite
 def grammars(draw):

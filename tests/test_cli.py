@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramdec.cli import main
+
+from helpers import grammar_texts
 
 ANBN = '@start S\nS -> "a" S "b"\nS -> ""\n'
 
@@ -666,3 +672,19 @@ class TestEvaluate:
         )
         assert code == 2
         assert "error" in json.loads(err.strip())
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(text=grammar_texts(), word=st.text('ab"[', max_size=4))
+def test_hostile_grammar_file_exits_0_or_2(tmp_path_factory, text, word):
+    path = tmp_path_factory.getbasetemp() / "hostile.cfg"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", "--grammar", str(path), "--input", word])
+    assert code in (0, 2)
+    if err.getvalue():  # a data error, not a verdict
+        assert code == 2
+        assert err.getvalue().startswith(f"error: {path}: ")
+    else:
+        assert out.getvalue().startswith("accepted" if code == 0 else ("rejected", "incomplete"))

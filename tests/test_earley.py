@@ -405,9 +405,11 @@ def textbook_column(tables, chart, text):
 
 
 def assert_columns_equal_the_textbook_closure(g, viable):
-    """Along every prefix in `viable`, a state's items are its own items
-    plus its prediction set's, whose origin is the state itself; origins
-    compare as column indices."""
+    """Along every prefix in `viable`, a state's own items are the textbook
+    items that started in an older column, and its prediction set holds
+    what the kernel reads of those that started in the state itself: the
+    positions before a scan pair and, per nonterminal, the positions after
+    it. Origins compare as column indices."""
     root = init_state(g)
     paths = {"": ([root], [textbook_column(root.tables, [], "")])}
     for word in sorted(viable, key=lambda w: (len(w), w)):
@@ -421,11 +423,21 @@ def assert_columns_equal_the_textbook_closure(g, viable):
         states, chart = paths[word]
         index = {id(s): i for i, s in enumerate(states)}
         state = states[-1]
+        syms = root.tables[0]
         own = [(pos, index[id(origin)]) for pos, origin in state.items]
-        predicted = [(pos, len(word)) for pos in state.pred.positions]
-        assert len(set(own)) == len(own) and len(set(predicted)) == len(predicted)
-        assert set(own) | set(predicted) == chart[-1], (g, word)
-        assert all(origin < len(word) for _, origin in own), (g, word)
+        assert len(set(own)) == len(own)
+        assert set(own) == {(p, o) for p, o in chart[-1] if o < len(word)}, (g, word)
+        predicted = {p for p, o in chart[-1] if o == len(word)}
+        scan_at = state.pred.scan_at
+        assert len(set(scan_at)) == len(scan_at)
+        assert set(scan_at) == {p for p in predicted if type(syms[p]) is tuple}
+        waits = {}
+        for p in predicted:
+            if type(syms[p]) is int:
+                waits.setdefault(syms[p], set()).add(p + 1)
+        got = {nt: set(after) for nt, after in state.pred.waits.items()}
+        assert got == waits, (g, word)
+        assert all(len(set(after)) == len(after) for after in state.pred.waits.values())
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)

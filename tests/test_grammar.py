@@ -19,7 +19,7 @@ from gramdec.grammar import (
     serialize_grammar,
 )
 
-from helpers import bfs_enumerate, grammars, random_grammars
+from helpers import bfs_enumerate, grammar_texts, grammars, random_grammars
 
 ANBN = '@start S\nS -> "a" S "b"\nS -> ""'
 
@@ -54,6 +54,37 @@ class TestParse:
         with pytest.raises(GrammarSyntaxError) as err:
             parse_grammar('S -> "a" | "b" $')
         assert err.value.column == 16
+
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            ('S -> "ab', "unterminated string literal", 1, 6),
+            ('S -> "a\\qb"', "bad escape in string literal", 1, 8),
+            ('S -> "ab\\', "bad escape in string literal", 1, 9),
+            # an error inside an unterminated body is reported first
+            ('S -> "a\\q', "bad escape in string literal", 1, 8),
+            ("S -> [a\\qb]", "bad escape in character class", 1, 8),
+            ("S -> [z-a]", "inverted range z-a", 1, 7),
+            ("S -> [b-a", "inverted range b-a", 1, 7),
+            ("S -> [ab", "unterminated character class", 1, 6),
+            ("S -> []", "empty character class", 1, 6),
+            ("S -> [^]", "empty character class", 1, 6),
+            ('S -> "a" $', "unexpected character '$'", 1, 10),
+            ('1x -> "a"', "bad nonterminal name '1x'", 1, 1),
+            ('@start S\n@start S\nS -> "a"', "duplicate @start directive", 2, 1),
+            ('@start S T\nS -> "a"', "@start takes exactly one name", 1, 1),
+            ('S "a"', "expected 'Name -> ...' rule", 1, 1),
+            ("# only a comment", "no rules in grammar", 1, 1),
+            # columns count from the raw line, leading blanks included
+            ('   S -> "a" $', "unexpected character '$'", 1, 13),
+            ('S -> "a"\n  T -> [^\\x]', "bad escape in character class", 2, 10),
+        ],
+    )
+    def test_syntax_error_message_and_position(self, text, message, line, column):
+        with pytest.raises(GrammarSyntaxError) as err:
+            parse_grammar(text)
+        assert str(err.value) == f"{message} (line {line}, column {column})"
+        assert (err.value.line, err.value.column) == (line, column)
 
     def test_alternatives_and_comments(self):
         g = parse_grammar('# top\nS -> "a" | "b" S | [xy] | "|" | [|] |\n')
@@ -99,6 +130,27 @@ class TestSerialize:
 @given(grammars())
 def test_serialize_round_trips(g):
     assert parse_grammar(serialize_grammar(g)) == g
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(grammar_texts())
+def test_hostile_text_parses_or_ends_in_a_typed_error(text):
+    try:
+        g = parse_grammar(text)
+    except GrammarSyntaxError as err:
+        lines = text.split("\n")
+        assert 1 <= err.line <= len(lines)
+        assert 1 <= err.column <= max(len(lines[err.line - 1]), 1)
+    except GrammarValidationError:
+        pass
+    else:
+        assert parse_grammar(serialize_grammar(g)) == g
+
+
+@pytest.mark.parametrize("name", ["a-b", "my nt", "1x"])
+def test_names_the_text_format_cannot_spell_are_rejected(name):
+    with pytest.raises(GrammarValidationError, match=f"bad nonterminal name {name!r}"):
+        Grammar("S", [Production("S", (Symbol.nt(name),)), Production(name, ())])
 
 
 class TestReduce:
