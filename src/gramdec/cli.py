@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import __version__
 from .decoder import DecodeConfig, HttpScorer, decode, train_ngram
@@ -24,7 +23,7 @@ from .induction import (
     parse_mtop,
     type_check,
 )
-from .jsonl import json_lines
+from .jsonl import json_lines, json_value
 from .lispress import parse_sexp
 from .prompting import (
     DEFAULT_BUDGET,
@@ -61,15 +60,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
+    """The file's text as written, without newline translation."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise GramdecError(f"cannot read {path}: {exc}") from None
 
 
 def _write(path: str, text: str):
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
     except OSError as exc:
         raise GramdecError(f"cannot write {path}: {exc}") from None
 
@@ -400,30 +402,45 @@ def _build_parser():
 
 def _config_object(text: str) -> dict:
     """The flag defaults of a --config file: one JSON object."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GramdecError(f"bad config JSON: {exc}") from None
+    data = json_value(text, GramdecError, "bad config JSON")
     if not isinstance(data, dict):
         raise GramdecError("config file must hold a JSON object")
     return data
 
 
+def _config_value(action, key, value):
+    """A config value as the command line would give it to the flag: a JSON
+    boolean for a flag that takes no value, else a string for each value
+    the flag takes, from a JSON string or number."""
+    if action.nargs == 0:
+        if type(value) is not bool:
+            raise UsageError(f"config: {key} takes true or false, not {value!r}")
+        return value
+    n = action.nargs or 1
+    items = value if action.nargs else [value]
+    if not (
+        isinstance(items, list)
+        and len(items) == n
+        and all(type(v) in (str, int, float) for v in items)
+    ):
+        what = f"a list of {n} strings" if action.nargs else "a string or a number"
+        raise UsageError(f"config: {key} takes {what}, not {value!r}")
+    items = [str(v) for v in items]
+    return items if action.nargs else items[0]
+
+
 def _with_config(parser, command, argv, path):
     """Parse argv again over the flag defaults in the JSON config at path,
-    so explicit flags win. A config value goes through its flag's type and
-    choices as a flag value does, and one for a flag that takes no value
-    must be a JSON boolean."""
+    so explicit flags win. argparse runs a string default through its
+    flag's type, so a config value goes through the flag's type and choices
+    as a flag value does."""
     data = _load(_config_object, path)
     actions = {a.dest: a for a in command._actions}
     defaults = {}
     for key, value in data.items():
         action = actions.get(key.replace("-", "_"))
         if action is not None:
-            if action.nargs == 0 and type(value) is not bool:
-                raise UsageError(f"config: {key} takes true or false, not {value!r}")
-            # argparse runs a string default through the flag's type
-            defaults[action.dest] = str(value) if action.type else value
+            defaults[action.dest] = _config_value(action, key, value)
     command.set_defaults(**defaults)
     args = parser.parse_args(argv)
     for dest in defaults:
@@ -444,7 +461,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _fail(args, str(exc))
         return 1
-    except (GramdecError, KeyError) as exc:
+    except GramdecError as exc:
         _fail(args, str(exc))
         return 2
 

@@ -20,7 +20,7 @@ from itertools import chain, repeat
 from operator import add, neg
 
 from .earley import init_state
-from .errors import NoViableHypothesisError, ScorerError
+from .errors import NoViableHypothesisError, ScorerError, VocabularyError
 from .grammar import Grammar
 from .tokens import TokenTrie, Vocabulary, advance_token, allowed_tokens, build_trie
 
@@ -81,15 +81,19 @@ def decode(
 ):
     """Beam search; returns DecodeResults sorted best-first.
 
-    Decoding is constrained exactly when a grammar is given. Ties on
-    equal score break by lexicographic token-id order, then beam slot, so
-    runs are deterministic. Scores are exact sums of the chosen per-step
+    Decoding is constrained exactly when a grammar is given, and a given
+    trie must be built for a vocabulary equal to `vocab`. Ties on equal
+    score break by lexicographic token-id order, then beam slot, so runs
+    are deterministic. Scores are exact sums of the chosen per-step
     log-scores.
     """
     constrained = grammar is not None
     if constrained:
         if trie is None:
             trie = build_trie(vocab)
+        elif trie.vocab is not vocab and trie.vocab.entries != vocab.entries:
+            # equal entries hold their one empty string at the same eos id
+            raise VocabularyError("the trie was built for another vocabulary")
         root = init_state(grammar)
     else:
         root = None

@@ -177,10 +177,7 @@ def _close(tables, items):
     syms, lhs_at, _, nullable, _, predictions = tables
     seen = set(items)
     waits = {}
-    i = 0
-    while i < len(items):
-        pos, origin = items[i]
-        i += 1
+    for pos, origin in items:  # grows as the closure adds items
         sym = syms[pos]
         if sym is None:
             lhs = lhs_at[pos]

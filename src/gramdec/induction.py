@@ -12,9 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .earley import init_state
+from .earley import check_string
 from .errors import InductionError, MtopParseError, TypeCheckError
-from .grammar import Grammar, Production, Symbol, parse_grammar, reduce
+from .grammar import NONTERMINAL, Grammar, Production, Symbol, parse_grammar, reduce
 from .jsonl import json_objects
 
 
@@ -83,8 +83,7 @@ def _check_literal(atom: str, type_name: str, sigs: SignatureTable):
         raise TypeCheckError(
             f"atom {atom!r} where non-literal type {type_name!r} expected"
         )
-    state, _ = init_state(sigs.literals[type_name]).advance_string(atom)
-    if state is None or not state.is_complete():
+    if check_string(sigs.literals[type_name], atom)[0] != "accepted":
         raise TypeCheckError(f"ill-typed literal {atom!r} for type {type_name!r}")
 
 
@@ -128,11 +127,17 @@ def type_check(program, sigs: SignatureTable, expected=None):
 _NT_SAFE = re.compile(r"[^A-Za-z0-9_]")
 
 
-def _type_nt(type_name: str, taken: dict) -> str:
-    """Stable identifier-safe nonterminal name for a type."""
-    if type_name in taken:
-        return taken[type_name]
-    base = _NT_SAFE.sub("_", type_name)
+def _fresh_name(key, text: str, taken: dict) -> str:
+    """The nonterminal of `key`: a type, or a (type, class nonterminal)
+    pair naming a nonterminal of that type's literal class, whose start
+    symbol is the type's own nonterminal. The first key to ask gets `text`
+    made identifier-safe, and a later key whose name is taken gets a
+    numeric suffix, so no two keys share a nonterminal."""
+    if type(key) is tuple and key[0] == key[1]:
+        key = key[0]
+    if key in taken:
+        return taken[key]
+    base = _NT_SAFE.sub("_", text)
     if not base or base[0].isdigit():
         base = "T_" + base
     name = base
@@ -140,7 +145,7 @@ def _type_nt(type_name: str, taken: dict) -> str:
     while name in taken.values():
         name = f"{base}_{k}"
         k += 1
-    taken[type_name] = name
+    taken[key] = name
     return name
 
 
@@ -151,34 +156,27 @@ def induce_lispress_grammar(
     a production per observed (operator, argument types, result type).
 
     Literal-typed leaves expand through the type's declared literal grammar
-    snippet, so unseen literal values stay generable.
+    snippet, so unseen literal values stay generable. Each type's
+    nonterminal is named after it, and each other nonterminal of a literal
+    class after its name in the snippet, with a numeric suffix where the
+    name is already another's.
     """
     if not programs:
         raise InductionError("no programs to induce from")
-    nt_names: dict = {}
-    productions = []
-    seen = set()
-    literal_types = []
-
-    def add(prod):
-        key = (prod.lhs, prod.rhs)
-        if key not in seen:
-            seen.add(key)
-            productions.append(prod)
-
-    roots = []
+    taken: dict = {}
+    rules = {}  # (lhs, rhs) -> None: the rules in first-seen order, once
+    roots = {}
+    literal_types = {}
     for root in programs:
-        if root.type not in roots:
-            roots.append(root.type)
+        roots[root.type] = None
         stack = [root]  # preorder, off the Python call stack
         while stack:
             tx = stack.pop()
             if isinstance(tx.node, str):
-                if tx.type not in literal_types:
-                    literal_types.append(tx.type)
+                literal_types[tx.type] = None
                 continue
             symbol = tx.node[0]
-            lhs = _type_nt(tx.type, nt_names)
+            lhs = _fresh_name(tx.type, tx.type, taken)
             rhs = []
             if not tx.children:
                 rhs.append(Symbol.t(f"({symbol})"))
@@ -187,35 +185,32 @@ def induce_lispress_grammar(
                 for i, child in enumerate(tx.children):
                     if i:
                         rhs.append(Symbol.t(" "))
-                    rhs.append(Symbol.nt(_type_nt(child.type, nt_names)))
+                    rhs.append(Symbol.nt(_fresh_name(child.type, child.type, taken)))
                 rhs.append(Symbol.t(")"))
-            add(Production(lhs, tuple(rhs)))
+            rules[lhs, tuple(rhs)] = None
             stack.extend(reversed(tx.children))
     if root_type is None:
         if len(roots) != 1:
             raise InductionError(
-                f"programs have conflicting root types {roots}; pass root_type"
+                f"programs have conflicting root types {list(roots)}; pass root_type"
             )
-        root_type = roots[0]
+        [root_type] = roots
 
-    # Splice in literal grammars; their first rule's lhs is the type name
-    # itself, which we alias to the type's nonterminal.
     for type_name in literal_types:
         if type_name not in sigs.literals:
             raise InductionError(f"no literal class declared for {type_name!r}")
-        snippet = sigs.literals[type_name]
-        lhs_alias = {type_name: _type_nt(type_name, nt_names)}
-        for p in snippet.productions:
-            lhs = lhs_alias.get(p.lhs, p.lhs)
+        for p in sigs.literals[type_name].productions:
+            lhs = _fresh_name((type_name, p.lhs), p.lhs, taken)
             rhs = tuple(
-                Symbol.nt(lhs_alias.get(s.name, s.name))
-                if s.kind == "nonterminal"
+                Symbol.nt(_fresh_name((type_name, s.name), s.name, taken))
+                if s.kind == NONTERMINAL
                 else s
                 for s in p.rhs
             )
-            add(Production(lhs, rhs))
+            rules[lhs, rhs] = None
 
-    start = _type_nt(root_type, nt_names)
+    start = _fresh_name(root_type, root_type, taken)
+    productions = [Production(lhs, rhs) for lhs, rhs in rules]
     if not any(p.lhs == start for p in productions):
         raise InductionError(f"root type {root_type!r} never produced")
     return reduce(Grammar(start, productions))
@@ -298,25 +293,14 @@ def induce_mtop_grammar(trees) -> Grammar:
     if not trees:
         raise InductionError("no trees to induce from")
 
-    productions = []
-    seen = set()
-    uses_text = False
-
-    def add(lhs, rhs):
-        key = (lhs, tuple(rhs))
-        if key not in seen:
-            seen.add(key)
-            productions.append(Production(lhs, tuple(rhs)))
-
     def label_nt(label: str) -> str:
         prefix = "INTENT_" if label.startswith("IN:") else "SLOT_"
         return prefix + label.split(":", 1)[1]
 
-    start_alts = []
+    start_alts = dict.fromkeys(label_nt(t.label) for t in trees)
+    # (lhs, rhs) -> None: the rules in first-seen order, once
+    rules = {(_MTOP_START, (Symbol.nt(nt),)): None for nt in start_alts}
     for tree in trees:
-        nt = label_nt(tree.label)
-        if nt not in start_alts:
-            start_alts.append(nt)
         stack = [tree]  # preorder, off the Python call stack
         while stack:
             node = stack.pop()
@@ -327,26 +311,14 @@ def induce_mtop_grammar(trees) -> Grammar:
                     rhs.append(Symbol.nt(label_nt(child.label)))
                 else:
                     rhs.append(Symbol.nt(_MTOP_TEXT))
-                    uses_text = True
             rhs.append(Symbol.t("]"))
-            add(label_nt(node.label), rhs)
+            rules[label_nt(node.label), tuple(rhs)] = None
             stack.extend(
                 c for c in reversed(node.children) if isinstance(c, MtopTree)
             )
-
-    prods = [Production(_MTOP_START, (Symbol.nt(nt),)) for nt in start_alts]
-    prods.extend(productions)
-    if uses_text:
-        prods.append(
-            Production(
-                _MTOP_TEXT,
-                (Symbol.cc("[]", negated=True),),
-            )
-        )
-        prods.append(
-            Production(
-                _MTOP_TEXT,
-                (Symbol.cc("[]", negated=True), Symbol.nt(_MTOP_TEXT)),
-            )
-        )
+    # reduce drops TEXT when no tree holds a raw token span
+    text_char = Symbol.cc("[]", negated=True)
+    rules[_MTOP_TEXT, (text_char,)] = None
+    rules[_MTOP_TEXT, (text_char, Symbol.nt(_MTOP_TEXT))] = None
+    prods = [Production(lhs, rhs) for lhs, rhs in rules]
     return reduce(Grammar(_MTOP_START, prods))

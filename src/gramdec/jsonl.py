@@ -5,6 +5,15 @@ from __future__ import annotations
 import json
 
 
+def json_value(text: str, error, what: str):
+    """The JSON value of text; raises `error` as "what: reason" when text is
+    not JSON or nests deeper than the parser's recursion limit."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{what}: {exc}") from None
+
+
 def json_lines(text: str, error):
     """(line number, value) for each non-blank line of JSONL text.
 
@@ -14,13 +23,8 @@ def json_lines(text: str, error):
     """
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
-        if not line:
-            continue
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise error(f"bad JSON on line {lineno}: {exc}") from None
-        yield lineno, value
+        if line:
+            yield lineno, json_value(line, error, f"bad JSON on line {lineno}")
 
 
 def json_objects(text: str, error):

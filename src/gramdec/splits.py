@@ -20,7 +20,7 @@ from .errors import (
     SexpError,
     SplitError,
 )
-from .jsonl import json_objects
+from .jsonl import json_objects, json_value
 from .lispress import lispress_equal
 from .sql import schema_from_json
 
@@ -269,8 +269,8 @@ class MetricReport:
     @classmethod
     def from_json(cls, text: str) -> "MetricReport":
         """Read back what `to_json` writes."""
+        data = json_value(text, EvaluationError, "malformed metric report")
         try:
-            data = json.loads(text)
             report = cls(
                 data["metric"],
                 data["accuracy"],
@@ -280,8 +280,11 @@ class MetricReport:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise EvaluationError(f"malformed metric report: {exc}") from None
-        if type(report.accuracy) not in (int, float):
-            raise EvaluationError("malformed metric report: accuracy is not a number")
+        acc = report.accuracy
+        if type(acc) not in (int, float) or not 0 <= acc <= 1:
+            raise EvaluationError(
+                "malformed metric report: accuracy is not a number in [0, 1]"
+            )
         return report
 
 

@@ -8,12 +8,12 @@ names are generable. There is no guard tying a column to the FROM clause.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import EmptyLanguageError, SchemaError
 from .grammar import Grammar, Production, Symbol, parse_grammar, reduce
+from .jsonl import json_value
 
 TABLE_NT = "TABLE_NAME"
 COLUMN_NT = "COLUMN_NAME"
@@ -56,11 +56,7 @@ def load_schema_json(text: str) -> DbSchema:
     """Schema wire format:
     {"tables":[{"name":..., "columns":[{"name":...,"type":...,"values":[...]}]}]}
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"bad schema JSON: {exc}") from None
-    return schema_from_json(data)
+    return schema_from_json(json_value(text, SchemaError, "bad schema JSON"))
 
 
 def schema_from_json(data) -> DbSchema:
@@ -106,23 +102,13 @@ def specialize_sql_grammar(base: Grammar, schema: DbSchema) -> Grammar:
     if not schema.tables or all(not t.columns for t in schema.tables):
         raise EmptyLanguageError("schema has no tables/columns to specialize with")
 
-    productions = []
-    for p in base.productions:
-        if p.lhs not in (TABLE_NT, COLUMN_NT):
-            productions.append(p)
-    seen = set()
-
-    def add(lhs, text):
-        if (lhs, text) not in seen:
-            seen.add((lhs, text))
-            productions.append(Production(lhs, (Symbol.t(text),)))
-
-    for t in schema.tables:
-        add(TABLE_NT, t.name)
+    names = dict.fromkeys((TABLE_NT, t.name) for t in schema.tables)
     for t in schema.tables:
         for c in t.columns:
-            add(COLUMN_NT, c.name)
-            add(COLUMN_NT, f"{t.name}.{c.name}")
+            names[COLUMN_NT, c.name] = None
+            names[COLUMN_NT, f"{t.name}.{c.name}"] = None
+    productions = [p for p in base.productions if p.lhs not in (TABLE_NT, COLUMN_NT)]
+    productions.extend(Production(lhs, (Symbol.t(text),)) for lhs, text in names)
     return reduce(Grammar(base.start, productions))
 
 

@@ -3,10 +3,16 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramdec.cli import main
+from gramdec.errors import GramdecError
+from gramdec.grammar import Grammar, Production, Symbol, serialize_grammar
+from gramdec.induction import load_signatures
+from gramdec.splits import MetricReport, load_dataset_jsonl, load_predictions_jsonl
+from gramdec.sql import load_schema_json
+from gramdec.tokens import load_vocab_jsonl
 
 from helpers import grammar_texts
 
@@ -688,3 +694,208 @@ def test_hostile_grammar_file_exits_0_or_2(tmp_path_factory, text, word):
         assert err.getvalue().startswith(f"error: {path}: ")
     else:
         assert out.getvalue().startswith("accepted" if code == 0 else ("rejected", "incomplete"))
+
+
+def test_files_are_read_as_written(capsys, tmp_path):
+    g = tmp_path / "cr.cfg"
+    g.write_bytes(serialize_grammar(Grammar("S", [Production("S", (Symbol.t("a\rb"),))])).encode())
+    assert b"a\rb" in g.read_bytes()
+    code, out, _ = run(capsys, "check", "--grammar", str(g), "--input", "a\rb")
+    assert code == 0 and out == "accepted\n"
+    # a CRLF line end still ends a line of a grammar or a JSONL file
+    crlf = {}
+    for name, text in [("g.cfg", ANBN), ("v.jsonl", VOCAB)]:
+        crlf[name] = tmp_path / name
+        crlf[name].write_bytes(text.replace("\n", "\r\n").encode())
+    argv = ["allowed-tokens", "--grammar", str(crlf["g.cfg"]), "--vocab", str(crlf["v.jsonl"])]
+    code, out, _ = run(capsys, *argv, "--prefix", "a")
+    assert code == 0 and json.loads(out) == {"tokens": [0, 1, 2]}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+# Good inputs beside the drawn file. Under every ngram order the corpus
+# ranks eos first after the empty prefix, so decode's only data errors
+# are its files' own.
+FIXED_FILES = {
+    "g": ANBN,
+    "v": VOCAB,
+    "c": "[3]\n[3]\n[0, 1, 3]\n",
+    "d": json.dumps({"id": "a", "utterance": "u", "gold": "(now)"}),
+    "s": SIGS,
+    "p": json.dumps({"id": "a", "prediction": "(now)"}),
+    "sc": json.dumps({"tables": [{"name": "t", "columns": [{"name": "c"}]}]}),
+    "r": json.dumps({"metric": "exact", "accuracy": 0.5, "n": 2, "correct": [["a", True], ["b", False]]}),
+}
+DECODE = ["decode", "--grammar", "{g}", "--vocab", "{v}", "--ngram-corpus", "{c}"]
+DECODE += ["--scorer", "ngram", "--max-tokens", "6", "--out", "{o}"]
+# Per file flag: the commands that read the drawn file "{f}", each path
+# flag given, the keys of the file's records, and the library reader of the
+# file (None where every data error of those commands comes from it).
+HOSTILE_FILES = {
+    "vocab": (
+        [["allowed-tokens", "--grammar", "{g}", "--vocab", "{f}", "--prefix", "a"],
+         ["decode", *DECODE[1:3], "--vocab", "{f}", *DECODE[5:], "--beam", "4"]],
+        ["eos", "id", "text"],
+        load_vocab_jsonl,
+    ),
+    "dataset": (
+        [["make-splits", "--dataset", "{f}", "--out", "{o}"],
+         ["build-prompt", "--dataset", "{f}", "--target", "t", "--context-mode", "sql_all_interactions",
+          "--db-values"],
+         ["induce-grammar", "--format", "mtop", "--dataset", "{f}", "--out", "{o}"],
+         ["induce-grammar", "--format", "lispress", "--signatures", "{s}", "--dataset", "{f}", "--out", "{o}"]],
+        ["id", "utterance", "gold", "schema", "turn_index", "prior_interactions", "portion"],
+        load_dataset_jsonl,
+    ),
+    "schema": (
+        [["specialize-sql", "--schema", "{f}", "--out", "{o}"]],
+        ["tables", "name", "columns", "type", "values"],
+        load_schema_json,
+    ),
+    "signatures": (
+        [["induce-grammar", "--format", "lispress", "--signatures", "{f}", "--dataset", "{d}", "--out", "{o}"]],
+        ["symbol", "args", "result", "literal", "class"],
+        load_signatures,
+    ),
+    "predictions": (
+        [["evaluate", "--predictions", "{f}", "--dataset", "{d}", "--out", "{o}"]],
+        ["id", "prediction"],
+        load_predictions_jsonl,
+    ),
+    "report": (
+        [["evaluate", "--aggregate", "{f}", "{r}", "{r}"]],
+        ["metric", "accuracy", "n", "correct", "parse_failures"],
+        MetricReport.from_json,
+    ),
+    "ngram-corpus": (
+        [[*DECODE[:5], "{f}", *DECODE[7:], "--beam", "4"]],
+        [],
+        None,
+    ),
+}
+# Per command: the keys a drawn --config may set, neither paths nor the
+# scorer's (a scorer may reach the network), and the command's own flags.
+CONFIG_COMMANDS = {
+    "decode": (["beam", "ngram_order", "max_tokens", "constrained", "input"], DECODE),
+    "evaluate": (["metric"], ["evaluate", "--predictions", "{p}", "--dataset", "{d}", "--out", "{o}"]),
+    "build-prompt": (
+        ["target", "context_mode", "db_values", "order", "budget", "max_examples", "seed"],
+        ["build-prompt", "--dataset", "{d}", "--target", "t"],
+    ),
+    "allowed-tokens": (["prefix", "dense"], ["allowed-tokens", "--grammar", "{g}", "--vocab", "{v}"]),
+    "check": (["input"], ["check", "--grammar", "{g}", "--input", "ab"]),
+    "induce-grammar": (
+        ["format", "root_type"],
+        ["induce-grammar", "--format", "lispress", "--signatures", "{s}", "--dataset", "{d}", "--out", "{o}"],
+    ),
+    "specialize-sql": ([], ["specialize-sql", "--schema", "{sc}", "--out", "{o}"]),
+}
+
+
+@st.composite
+def hostile_file(draw, keys):
+    """Bytes of a file: garbage, or JSON values one a line, records among
+    them keyed like the format's own."""
+    records = JSON_VALUES
+    if keys:
+        records |= st.dictionaries(st.sampled_from(keys), JSON_VALUES, max_size=len(keys))
+        records |= st.fixed_dictionaries({k: JSON_VALUES for k in keys})
+    kind = draw(st.sampled_from(["bytes", "text", "record", "lines"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    if kind == "text":
+        text = draw(st.text(max_size=40))
+    else:
+        size = 1 if kind == "record" else draw(st.integers(0, 4))
+        lines = [json.dumps(draw(records), ensure_ascii=False) for _ in range(size)]
+        text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _rejects(reader, data: bytes) -> bool:
+    try:
+        reader(data.decode("utf-8"))
+    except (GramdecError, UnicodeDecodeError):
+        return True
+    return False
+
+
+def run_on_files(tmp_path, argv, drawn: bytes):
+    """main on argv with its placeholders filled by files under tmp_path:
+    (exit code, stderr, path of the drawn file)."""
+    paths = {"o": tmp_path / "out", "f": tmp_path / "drawn"}
+    paths["f"].write_bytes(drawn)
+    for name, text in FIXED_FILES.items():
+        paths[name] = tmp_path / f"fixed-{name}"
+        paths[name].write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a.format(**paths) for a in argv])
+    return code, err.getvalue(), str(paths["f"])
+
+
+def check_exit(code, err, path, reader, drawn):
+    assert code in (0, 1, 2)
+    if code == 0:
+        return
+    if err.startswith("{"):  # --json from the config
+        err = "error: " + json.loads(err)["error"]
+    assert err.startswith("error: ")
+    if code == 2 and (reader is None or _rejects(reader, drawn)):
+        assert path in err
+
+
+# Files a draw rarely makes, tried first with every command of a flag:
+# JSON nested deeper than the parser's recursion limit, and reports with
+# accuracies outside [0, 1], which can overflow a float in the aggregate.
+EXPLICIT_FILES = {
+    "report": [
+        json.dumps({"metric": "exact", "accuracy": acc, "n": 1, "correct": []}).encode()
+        for acc in (1e200, 10**400, float("nan"), -0.5)
+    ],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(HOSTILE_FILES))
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_hostile_input_file_exits_0_1_or_2(tmp_path_factory, flag, data):
+    commands, keys, reader = HOSTILE_FILES[flag]
+    if data is None:
+        runs = [(argv, b"[" * 100_000) for argv in commands]
+        runs += [(argv, f) for argv in commands for f in EXPLICIT_FILES.get(flag, [])]
+    else:
+        runs = [(data.draw(st.sampled_from(commands)), data.draw(hostile_file(keys)))]
+    for argv, drawn in runs:
+        code, err, path = run_on_files(tmp_path_factory.mktemp(flag), argv, drawn)
+        check_exit(code, err, path, reader, drawn)
+
+
+def _config_object(text):
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError):
+        value = None
+    if not isinstance(value, dict):
+        raise GramdecError("not a JSON object")
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(sorted(CONFIG_COMMANDS)), data=st.data())
+def test_hostile_config_exits_0_1_or_2(tmp_path_factory, command, data):
+    keys, argv = CONFIG_COMMANDS[command]
+    keys = keys + ["json", "other"]
+    drawn = data.draw(
+        hostile_file(keys)
+        | st.dictionaries(st.sampled_from(keys), JSON_VALUES, max_size=3).map(
+            lambda d: json.dumps(d).encode()
+        )
+    )
+    code, err, path = run_on_files(tmp_path_factory.mktemp("config"), [*argv, "--config", "{f}"], drawn)
+    check_exit(code, err, path, _config_object, drawn)

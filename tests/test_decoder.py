@@ -18,9 +18,14 @@ from gramdec.decoder import (
     train_ngram,
 )
 from gramdec.earley import init_state
-from gramdec.errors import EmptyLanguageError, NoViableHypothesisError, ScorerError
+from gramdec.errors import (
+    EmptyLanguageError,
+    NoViableHypothesisError,
+    ScorerError,
+    VocabularyError,
+)
 from gramdec.grammar import parse_grammar, reduce
-from gramdec.tokens import advance_token, allowed_tokens, build_trie
+from gramdec.tokens import Vocabulary, advance_token, allowed_tokens, build_trie
 
 from helpers import CHARS, grammar_alphabet, grammars, make_vocab
 
@@ -207,6 +212,18 @@ class TestDecode:
         a = [(r.text, r.logprob) for r in decode(scorer, ANBN, vocab, cfg)]
         b = [(r.text, r.logprob) for r in decode(scorer, ANBN, vocab, cfg)]
         assert a == b
+
+    def test_trie_of_another_vocabulary(self):
+        # vb swaps va's ids, so vb's trie would hand out ids of va that
+        # spell other strings
+        va = Vocabulary(["a", "b", "ab", ""], eos_id=3)
+        vb = Vocabulary(["b", "a", "ba", ""], eos_id=3)
+        scorer = train_ngram([[0, 1, 3]], order=2, vocab_size=4)
+        cfg = DecodeConfig(beam_size=4)
+        with pytest.raises(VocabularyError):
+            decode(scorer, ANBN, va, cfg, trie=build_trie(vb))
+        equal = build_trie(Vocabulary(va.entries, 3))
+        assert decode(scorer, ANBN, va, cfg, trie=equal) == decode(scorer, ANBN, va, cfg)
 
     def test_scorer_contract_enforced(self):
         vocab = make_vocab(["a"])

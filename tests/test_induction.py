@@ -1,9 +1,12 @@
+import json
+import random
+
 import pytest
 
 from gramdec.earley import check_string
 from gramdec.errors import InductionError, MtopParseError, TypeCheckError
 from gramdec import earley
-from gramdec.grammar import serialize_grammar
+from gramdec.grammar import enumerate_language, serialize_grammar
 from gramdec.induction import (
     MtopTree,
     SignatureTable,
@@ -268,3 +271,140 @@ class TestInduceMtop:
     def test_render_used_for_membership(self):
         tree = MtopTree("IN:A", [MtopTree("SL:B", ["hi there"])])
         assert tree.render() == "[IN:A [SL:B hi there]]"
+
+
+def _table(*records):
+    return load_signatures("\n".join(json.dumps(r) for r in records))
+
+
+def _accepts(g, text):
+    return check_string(g, text)[0] == "accepted"
+
+
+# Names that random tables draw both their types and their literal classes'
+# nonterminals from, so a class's nonterminal often shares a type's name or
+# another class's.
+NAMES = ["A", "B", "C"]
+
+
+def _random_table(rng):
+    """A signature table over the types NAMES, with literal classes over
+    "xy0" for one or two of them, whose other nonterminals are also drawn
+    from NAMES."""
+    records = []
+    for t in rng.sample(NAMES, rng.randint(1, 2)):
+        nts = [t] + rng.sample([n for n in NAMES if n != t], rng.randint(0, 2))
+        # each one productive, and reachable from the class's start
+        rules = {f'{nt} -> "{rng.choice("xy0")}"' for nt in nts}
+        rules.update(f'{a} -> "{rng.choice("xy0")}" {b}' for a, b in zip(nts, nts[1:]))
+        for _ in range(rng.randint(1, 3)):
+            items = [
+                rng.choice(nts) if rng.random() < 0.4 else f'"{rng.choice("xy0")}"'
+                for _ in range(rng.randint(1, 2))
+            ]
+            rules.add(f"{rng.choice(nts)} -> {' '.join(items)}")
+        first = sorted(r for r in rules if r.startswith(f"{t} "))[0]
+        rest = sorted(rules - {first})
+        records.append({"literal": t, "class": "\n".join([first, *rest])})
+    literal_types = {r["literal"] for r in records}
+    for i, t in enumerate(NAMES):
+        for j in range(2):  # j == 0 is nullary: a leaf for a type without a class
+            args = [] if j == 0 else rng.choices(NAMES, k=rng.randint(1, 2))
+            if j == 0 and t in literal_types and rng.random() < 0.5:
+                continue
+            records.append({"symbol": f"f{i}{j}", "args": args, "result": t})
+    return _table(*records)
+
+
+def _random_program(rng, table, words, t, depth=0):
+    """A well-typed program of type t as a nested list, literals as str."""
+    ops = [
+        s
+        for s, (args, result) in table.signatures.items()
+        if result == t and (depth < 3 or not args)
+    ]
+    if t in words and (not ops or depth and rng.random() < 0.5):
+        return rng.choice(words[t])
+    symbol = rng.choice(ops)
+    args = table.signatures[symbol][0]
+    return [symbol] + [_random_program(rng, table, words, a, depth + 1) for a in args]
+
+
+def _render(node):
+    if isinstance(node, str):
+        return node
+    return "(" + " ".join(_render(c) for c in node) + ")"
+
+
+def _arguments(tx, path=()):
+    """(path, type, node) of every argument in a typed program."""
+    for i, child in enumerate(tx.children, start=1):
+        yield path + (i,), child.type, child.node
+        yield from _arguments(child, path + (i,))
+
+
+def _replaced(node, path, new):
+    if not path:
+        return new
+    copy = list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], new)
+    return copy
+
+
+class TestNameCollisions:
+    def test_classes_with_one_helper_name(self):
+        sigs = _table(
+            {"symbol": "f", "args": ["Long", "Hex"], "result": "R"},
+            {"literal": "Long", "class": 'Long -> DIGITS "L"\nDIGITS -> [0-9] | [0-9] DIGITS'},
+            {"literal": "Hex", "class": 'Hex -> "0x" DIGITS\nDIGITS -> [0-9a-f] | [0-9a-f] DIGITS'},
+        )
+        g = induce_lispress_grammar([type_check(parse_sexp("(f 1L 0x1)"), sigs)], sigs)
+        assert _accepts(g, "(f 12L 0xff)")
+        with pytest.raises(TypeCheckError):
+            type_check(parse_sexp("(f ffL 0x1)"), sigs)
+        assert not _accepts(g, "(f ffL 0x1)")
+
+    def test_class_helper_named_like_a_type(self):
+        sigs = _table(
+            {"symbol": "f", "args": ["Number", "digits"], "result": "R"},
+            {"symbol": "g", "args": [], "result": "digits"},
+            {"literal": "Number", "class": "Number -> digits\ndigits -> [0-9] | [0-9] digits"},
+        )
+        g = induce_lispress_grammar([type_check(parse_sexp("(f 1 (g))"), sigs)], sigs)
+        assert _accepts(g, "(f 12 (g))")
+        for text in ["(f 1 5)", "(f (g) (g))"]:
+            with pytest.raises(TypeCheckError):
+                type_check(parse_sexp(text), sigs)
+            assert not _accepts(g, text)
+
+    def test_grammar_accepts_what_type_check_accepts(self):
+        # Each program is copied with one argument swapped for another
+        # program's argument or for a literal of any class. The grammar
+        # holds only what the programs show, so a literal goes only where a
+        # literal of that type was seen, or where its type has no class.
+        for seed in range(300):
+            rng = random.Random(seed)
+            table = _random_table(rng)
+            words = {
+                t: sorted(enumerate_language(g, 3)) for t, g in table.literals.items()
+            }
+            programs = [_random_program(rng, table, words, "A") for _ in range(3)]
+            typed = [type_check(parse_sexp(_render(p)), table) for p in programs]
+            g = induce_lispress_grammar(typed, table)
+            args = [a for tx in typed for a in _arguments(tx)]
+            seen_literal = {t for _, t, node in args if isinstance(node, str)}
+            swaps = [node for _, _, node in args] + [rng.choice(w) for w in words.values()]
+            texts = [_render(p) for p in programs]
+            for p, tx in zip(programs, typed):
+                for path, t, _ in _arguments(tx):
+                    new = rng.choice(swaps)
+                    if isinstance(new, str) and t in table.literals and t not in seen_literal:
+                        continue
+                    texts.append(_render(_replaced(p, path, new)))
+            for text in texts:
+                try:
+                    type_check(parse_sexp(text), table)
+                    well_typed = True
+                except TypeCheckError:
+                    well_typed = False
+                assert _accepts(g, text) == well_typed, (seed, text)
