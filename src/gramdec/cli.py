@@ -77,7 +77,8 @@ def _write(path: str, text: str):
 
 
 def _load(parse, path: str):
-    """parse(text of the file at path); a data error names the file."""
+    """parse(text of the file at path); a data error names the file, so
+    parse does all the work on the file's contents that can fail."""
     text = _read(path)
     try:
         return parse(text)
@@ -107,6 +108,21 @@ def _ngram_corpus(text: str, vocab_size: int):
     if not corpus:
         raise GramdecError("no token-id lists")
     return corpus
+
+
+def _golds(text: str, parse):
+    """parse(gold) of each example of a dataset file; a data error names
+    the example."""
+    dataset = load_dataset_jsonl(text)
+    if not dataset:
+        raise GramdecError("empty dataset")
+    golds = []
+    for ex in dataset:
+        try:
+            golds.append(parse(ex.gold))
+        except GramdecError as exc:
+            raise GramdecError(f"example {ex.id!r}: {exc}") from None
+    return golds
 
 
 def _prefix_state(args):
@@ -185,18 +201,17 @@ def _cmd_allowed_tokens(args):
 
 
 def _cmd_induce_grammar(args):
-    dataset = _load(load_dataset_jsonl, args.dataset)
-    if not dataset:
-        raise GramdecError("empty dataset")
     if args.format == "lispress":
         if not args.signatures:
             raise UsageError("--signatures is required for lispress induction")
         sigs = _load(load_signatures, args.signatures)
-        typed = [type_check(parse_sexp(ex.gold), sigs) for ex in dataset]
+        typed = _load(
+            lambda text: _golds(text, lambda gold: type_check(parse_sexp(gold), sigs)),
+            args.dataset,
+        )
         grammar = induce_lispress_grammar(typed, sigs, root_type=args.root_type)
     else:
-        trees = [parse_mtop(ex.gold) for ex in dataset]
-        grammar = induce_mtop_grammar(trees)
+        grammar = induce_mtop_grammar(_load(lambda text: _golds(text, parse_mtop), args.dataset))
     return _write_grammar(args, grammar)
 
 
@@ -205,8 +220,8 @@ def _cmd_specialize_sql(args):
         base = _load(parse_grammar, args.grammar)
     else:
         base = load_base_sql_grammar()
-    schema = _load(load_schema_json, args.schema)
-    return _write_grammar(args, specialize_sql_grammar(base, schema))
+    grammar = _load(lambda text: specialize_sql_grammar(base, load_schema_json(text)), args.schema)
+    return _write_grammar(args, grammar)
 
 
 def _cmd_decode(args):
@@ -236,8 +251,7 @@ def _cmd_decode(args):
 
 
 def _cmd_make_splits(args):
-    dataset = _load(load_dataset_jsonl, args.dataset)
-    spec = make_splits(dataset, seed=args.seed)
+    spec = _load(lambda text: make_splits(load_dataset_jsonl(text), seed=args.seed), args.dataset)
     manifest = spec.to_manifest()
     if args.out:
         _write(args.out, manifest)
@@ -250,9 +264,13 @@ def _cmd_make_splits(args):
 def _cmd_build_prompt(args):
     if args.db_values and args.context_mode not in SQL_MODES:
         raise UsageError("--db-values needs an SQL context mode")
-    dataset = _load(load_dataset_jsonl, args.dataset)
     mode = ContextMode(args.context_mode, with_values=args.db_values)
-    pool = [render_input(ex, mode) for ex in dataset]
+
+    def pool_of(text):
+        dataset = load_dataset_jsonl(text)
+        return dataset, [render_input(ex, mode) for ex in dataset]
+
+    dataset, pool = _load(pool_of, args.dataset)
     target = args.target
     scores = bm25_scores(target, pool)
     examples = [
@@ -280,8 +298,9 @@ def _cmd_evaluate(args):
         print(json.dumps({"mean": mean, "stddev": std}))
         return 0
     gold = _load(load_dataset_jsonl, args.dataset)
-    predictions = _load(load_predictions_jsonl, args.predictions)
-    report = evaluate(predictions, gold, args.metric)
+    report = _load(
+        lambda text: evaluate(load_predictions_jsonl(text), gold, args.metric), args.predictions
+    )
     text = report.to_json()
     if args.out:
         _write(args.out, text)

@@ -1,13 +1,12 @@
 """Chart engine for character-incremental Earley recognition.
 
-This module is the hot kernel and the only one that knows the table format:
-`compile_tables` builds it and the column functions read it.
+This module is the hot kernel and the only one that knows the table format
+and the column layout: `compile_tables` builds the tables, `initial_state`
+and `advance` build columns, and the recognizer's state is a column.
 
 Data layout
 -----------
-A grammar is compiled by `compile_tables` into a tables tuple:
-
-    (syms, lhs_at, starts, nullable, start, predictions)
+A grammar is compiled by `compile_tables` into a `Tables`:
 
     syms        : list[sym | None] every production laid out in grammar
                                    order, one slot per rhs symbol and then
@@ -33,9 +32,9 @@ A position numbers one dotted rule: the dot sits before `syms[pos]`, and
 moving it over that symbol is `pos + 1`. An item is a tuple (pos, origin),
 origin being the earlier column the item started in.
 
-A column is the closed items after one character prefix; the recognizer's
-prefix states are its columns. A column is any object with three
-attributes:
+A column is the closed items after one character prefix: a `PrefixState`,
+which is also the recognizer's state after that prefix. Besides its
+grammar's `tables` it holds:
 
     items : list[(pos, origin)]  its own items, the scanned ones and those
                                  completed from them; origin is always an
@@ -63,13 +62,17 @@ Columns that predict nothing share one empty set and one empty waits. An
 end slot's item (pos, origin) completes with what origin's two waits hold
 for `lhs_at[pos]`.
 
-The column functions read columns and return a new column's own items,
-waits and Predictions for the caller to wrap. A column refers only to
-older columns through its own items' origins, never to itself, and no
-Predictions refers to any column: earlier columns stay reachable through
-origins and are freed by reference counting once nothing points at them.
-Columns are frozen once closed, so forked prefixes are branch-safe by
-construction, and advancing builds one new item list without copying any.
+The empty prefix's column owns no item, since every item of it is
+predicted from the start nonterminal. Every later column owns at least the
+items its character scanned, since `advance` returns None when none scans.
+So an own item whose origin owns no item started at the empty prefix.
+
+A column refers only to older columns through its own items' origins,
+never to itself, and neither the tables nor any Predictions refers to a
+column: earlier columns stay reachable through origins and are freed by
+reference counting once nothing points at them. Columns are frozen once
+closed, so forked prefixes are branch-safe by construction, and advancing
+builds one new item list without copying any.
 
 Token splits
 ------------
@@ -86,10 +89,66 @@ the stand-in, which has no items to complete; what may follow depends on
 the chart, so the walk escapes there. A token that is not accepted is
 context-dependent if its walk escaped on the way, and rejected at p
 otherwise. The walk is as deep as the longest token and the chart dedups
-its items, so left recursion and long literals need no bound.
+its items, so left recursion and long literals need no bound. The
+stand-in owns no item, as the empty prefix's column does, and nothing
+asks whether a column of the walk is complete.
 """
 
 from ..grammar import NONTERMINAL, TERMINAL, nullable_set
+
+
+class CharMask:
+    """Set of legal next characters; may be cofinite via a negated class.
+
+    Negated classes fold into one excluded set, the intersection of the
+    classes less the positive characters, so equal masks have equal fields:
+    a cofinite mask holds no positive characters and one negated class.
+    """
+
+    def __init__(self, positive, negated_classes=()):
+        positive = frozenset(positive)
+        negated = [frozenset(n) for n in negated_classes]
+        if negated:
+            self.positive = frozenset()
+            self.negated_classes = (frozenset.intersection(*negated) - positive,)
+        else:
+            self.positive = positive
+            self.negated_classes = ()
+
+    def __contains__(self, c) -> bool:
+        if self.negated_classes:
+            return c not in self.negated_classes[0]
+        return c in self.positive
+
+    @property
+    def is_finite(self) -> bool:
+        return not self.negated_classes
+
+    def as_set(self) -> frozenset:
+        if not self.is_finite:
+            raise ValueError("character mask is cofinite, not enumerable")
+        return self.positive
+
+    def __iter__(self):
+        return iter(sorted(self.as_set()))
+
+    def __eq__(self, other):
+        if isinstance(other, CharMask):
+            return (
+                self.positive == other.positive
+                and self.negated_classes == other.negated_classes
+            )
+        if isinstance(other, (set, frozenset)):
+            return self.is_finite and self.positive == frozenset(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.positive, self.negated_classes))
+
+    def __repr__(self):
+        if self.is_finite:
+            return f"CharMask({sorted(self.positive)!r})"
+        return f"CharMask([], negated=[{sorted(self.negated_classes[0])!r}])"
 
 
 class Predictions:
@@ -107,8 +166,23 @@ NO_PREDICTIONS = Predictions((), {})
 NO_WAITS = {}  # the waits of every column with no item waiting; never mutated
 
 
-def compile_tables(grammar):
-    """The tables tuple of a grammar, with nonterminals numbered in
+class Tables:
+    """A compiled grammar (see Data layout). Weakly referable, so a cache
+    can key on a grammar's tables and go with them."""
+
+    __slots__ = ("syms", "lhs_at", "starts", "nullable", "start", "predictions", "__weakref__")
+
+    def __init__(self, syms, lhs_at, starts, nullable, start):
+        self.syms = syms
+        self.lhs_at = lhs_at
+        self.starts = starts
+        self.nullable = nullable
+        self.start = start
+        self.predictions = {}
+
+
+def compile_tables(grammar) -> Tables:
+    """The tables of a grammar, with nonterminals numbered in
     `grammar.nonterminals` order."""
     names = grammar.nonterminals
     nt_ids = {name: i for i, name in enumerate(names)}
@@ -132,13 +206,13 @@ def compile_tables(grammar):
         lhs_at.extend([lhs] * (len(syms) - len(lhs_at)))
     nullable_names = nullable_set(grammar)
     nullable = [name in nullable_names for name in names]
-    return (syms, lhs_at, starts, nullable, nt_ids[grammar.start], {})
+    return Tables(syms, lhs_at, starts, nullable, nt_ids[grammar.start])
 
 
 def _predict(tables, key):
     """The Predictions of the nonterminals `key` names, closed under
     predict and the nullable advance, and cached in the tables."""
-    syms, _, starts, nullable, _, predictions = tables
+    syms, starts, nullable = tables.syms, tables.starts, tables.nullable
     predicted = {key} if type(key) is int else set(key)
     positions = []
     for nt in predicted:
@@ -166,7 +240,7 @@ def _predict(tables, key):
     pred = Predictions(
         tuple(scan_at), {nt: tuple(after) for nt, after in waits.items()}
     )
-    predictions[key] = pred
+    tables.predictions[key] = pred
     return pred
 
 
@@ -174,7 +248,7 @@ def _close(tables, items):
     """Close a new column's own items under complete and the nullable
     advance, extending the list in place; returns the column's waits and
     Predictions."""
-    syms, lhs_at, _, nullable, _, predictions = tables
+    syms, lhs_at, nullable = tables.syms, tables.lhs_at, tables.nullable
     seen = set(items)
     waits = {}
     for pos, origin in items:  # grows as the closure adds items
@@ -201,28 +275,84 @@ def _close(tables, items):
     if not waits:
         return NO_WAITS, NO_PREDICTIONS
     key = next(iter(waits)) if len(waits) == 1 else frozenset(waits)
-    pred = predictions.get(key)
+    pred = tables.predictions.get(key)
     if pred is None:
         pred = _predict(tables, key)
     return waits, pred
 
 
-def initial_column(tables):
-    """The own items, waits and Predictions of the empty prefix's column:
-    it owns no item, since every item of it is predicted from the start
-    nonterminal."""
-    return [], NO_WAITS, _predict(tables, tables[4])
+class PrefixState:
+    """Earley recognizer state after consuming a character prefix: the
+    frontier column of the chart (see Data layout). States are values:
+    advancing builds one new state and never mutates an earlier one, so
+    beam-search branches can fork freely. States are weakly referable."""
+
+    __slots__ = ("tables", "items", "waits", "pred", "__weakref__")
+
+    def __init__(self, tables, items, waits=NO_WAITS, pred=NO_PREDICTIONS):
+        self.tables = tables
+        self.items = items
+        self.waits = waits
+        self.pred = pred
+
+    def advance_char(self, c: str) -> "PrefixState | None":
+        """New state after one character, or None if the prefix dies."""
+        if len(c) != 1:
+            raise ValueError("advance_char takes exactly one character")
+        return advance(self, c)
+
+    def advance_string(self, s: str) -> "tuple[PrefixState | None, int]":
+        """Advance over each character; returns (state or None, chars consumed)."""
+        state = self
+        for i, c in enumerate(s):
+            nxt = state.advance_char(c)
+            if nxt is None:
+                return None, i
+            state = nxt
+        return state, len(s)
+
+    def allowed_next_chars(self) -> CharMask:
+        """Legal next characters, read off the frontier's scan pairs: the
+        characters of the positive ones and every character outside some
+        negated one."""
+        syms = self.tables.syms
+        positive = set()
+        negated = []
+        for pos in scan_positions(self):
+            chars, is_negated = syms[pos]
+            if is_negated:
+                negated.append(chars)
+            else:
+                positive.update(chars)
+        return CharMask(positive, negated)
+
+    def is_complete(self) -> bool:
+        """Whether the consumed prefix is a full member of the language."""
+        tables = self.tables
+        start = tables.start
+        if not self.items:  # the empty prefix: "" is a member iff start is nullable
+            return tables.nullable[start]
+        syms, lhs_at = tables.syms, tables.lhs_at
+        for pos, origin in self.items:
+            if syms[pos] is None and lhs_at[pos] == start and not origin.items:
+                return True
+        return False
 
 
-def advance(tables, column, ch):
-    """Scan one character; returns the own items, waits and Predictions of
-    the column after it, or None on reject.
+def initial_state(tables) -> PrefixState:
+    """The empty prefix's column: it owns no item, since every item of it
+    is predicted from the start nonterminal."""
+    return PrefixState(tables, [], pred=_predict(tables, tables.start))
+
+
+def advance(column, ch):
+    """Scan one character; returns the column after it, or None on reject.
 
     The items of `column` are never mutated. The new items point at
-    `column` and earlier columns through their origins, so the caller's
-    object for the new column must not be `column` itself.
+    `column` and earlier columns through their origins.
     """
-    syms = tables[0]
+    tables = column.tables
+    syms = tables.syms
     items = []
     # Distinct frontier items scan to distinct items.
     for pos, origin in column.items:
@@ -235,62 +365,18 @@ def advance(tables, column, ch):
             items.append((pos + 1, column))
     if not items:
         return None
-    waits, pred = _close(tables, items)
-    return items, waits, pred
+    return PrefixState(tables, items, *_close(tables, items))
 
 
-def accepted(tables, initial, column):
-    """Whether the prefix that ends at `column` is a full member of the
-    language whose empty-prefix column is `initial`."""
-    syms, lhs_at, _, nullable, start, _ = tables
-    if column is initial:  # it owns no item; "" is a member iff start is nullable
-        return nullable[start]
-    for pos, origin in column.items:
-        if origin is initial and syms[pos] is None and lhs_at[pos] == start:
-            return True
-    return False
-
-
-def next_chars(tables, column):
-    """Legal next characters, read off the frontier's scan symbols.
-
-    Returns (positive, negated_classes): a set of explicitly allowed
-    characters plus the excluded-char sets of any negated classes at the
-    dot (each of which allows every character outside it).
-    """
-    syms = tables[0]
-    positive = set()
-    negated = []
-    for pos in scan_positions(tables, column):
-        chars, is_negated = syms[pos]
-        if is_negated:
-            negated.append(chars)
-        else:
-            positive.update(chars)
-    return positive, negated
-
-
-def scan_positions(tables, column):
+def scan_positions(column):
     """The distinct positions of the column's items whose dot is before a
     scan pair: the positions its next character is scanned at."""
-    syms = tables[0]
+    syms = column.tables.syms
     out = {pos for pos, _ in column.items if type(syms[pos]) is tuple}
     scan_at = column.pred.scan_at
     if scan_at:
         out.update(scan_at)
     return out
-
-
-class _Column:
-    """A column that is not a recognizer state: classify's stand-in
-    origin and the columns of its walk."""
-
-    __slots__ = ("items", "waits", "pred")
-
-    def __init__(self, items, waits=NO_WAITS, pred=NO_PREDICTIONS):
-        self.items = items
-        self.waits = waits
-        self.pred = pred
 
 
 def classify(tables, pos, root):
@@ -300,23 +386,22 @@ def classify(tables, pos, root):
     `root` is the trie's root node; a node has `children`, a dict from
     character to node, and `token_ids`, the ids spelled by its path.
     """
-    syms = tables[0]
-    context = _Column([])
+    syms = tables.syms
+    context = PrefixState(tables, [])
     accepted = set()
     dependent = set()
-    walk = [(root, _Column([(pos, context)]), False)]
+    walk = [(root, PrefixState(tables, [(pos, context)]), False)]
     while walk:
         node, column, below_escape = walk.pop()
         for ch, child in node.children.items():
-            advanced = advance(tables, column, ch)
+            advanced = advance(column, ch)
             if advanced is None:
                 continue
             accepted.update(child.token_ids)
             if not child.children:
                 continue
-            items = advanced[0]
             escaped = not below_escape and any(
-                origin is context and syms[p] is None for p, origin in items
+                origin is context and syms[p] is None for p, origin in advanced.items
             )
             if escaped:
                 subtree = [child]
@@ -324,5 +409,5 @@ def classify(tables, pos, root):
                     n = subtree.pop()
                     dependent.update(n.token_ids)
                     subtree.extend(n.children.values())
-            walk.append((child, _Column(*advanced), below_escape or escaped))
+            walk.append((child, advanced, below_escape or escaped))
     return frozenset(accepted), frozenset(dependent - accepted)

@@ -58,8 +58,18 @@ _TEXT_FIELDS = (
 )
 
 
+def _check_unique_ids(examples, error):
+    """Raise `error` naming the first example id that repeats."""
+    seen = set()
+    for ex in examples:
+        if ex.id in seen:
+            raise error(f"example id {ex.id!r} repeats")
+        seen.add(ex.id)
+
+
 def load_dataset_jsonl(text: str):
-    """Parse dataset JSONL records into DatasetExamples."""
+    """Parse dataset JSONL records into DatasetExamples, whose ids are
+    unique."""
     out = []
     for lineno, rec in json_objects(text, SplitError):
         if "id" not in rec:
@@ -92,6 +102,7 @@ def load_dataset_jsonl(text: str):
                 **texts,
             )
         )
+    _check_unique_ids(out, SplitError)
     return out
 
 
@@ -157,10 +168,11 @@ def make_splits(dataset, seed: int = 0) -> SplitSpec:
     When the dataset has no test portion, the dev portion becomes the test
     pool and 10% of the train pool (by whole dialogues) becomes the dev
     pool. The medium tier is omitted when train has fewer than 5000
-    examples.
+    examples. Example ids must be unique, or one could land in two splits.
     """
     if not dataset:
         raise SplitError("empty dataset")
+    _check_unique_ids(dataset, SplitError)
     pools = {"train": [], "dev": [], "test": []}
     for ex in dataset:
         if ex.portion not in pools:
@@ -295,9 +307,9 @@ def evaluate(predictions, gold, metric: str) -> MetricReport:
     """Score predictions against gold examples.
 
     `predictions` is an iterable of (id, text); missing ids count as
-    incorrect, duplicate ids are an error. For the lispress metric a
-    prediction that fails to parse counts incorrect and is tallied in
-    parse_failures.
+    incorrect, and duplicate prediction or gold ids are an error. For the
+    lispress metric a prediction that fails to parse counts incorrect and
+    is tallied in parse_failures.
     """
     if metric in _UNSUPPORTED:
         raise MetricNotSupportedError(
@@ -305,6 +317,7 @@ def evaluate(predictions, gold, metric: str) -> MetricReport:
         )
     if metric not in ("exact", "lispress"):
         raise MetricNotSupportedError(f"unknown metric {metric!r}")
+    _check_unique_ids(gold, EvaluationError)
     pred_map = {}
     for pid, text in predictions:
         if pid in pred_map:

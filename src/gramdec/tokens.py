@@ -122,9 +122,9 @@ class TokenTrie:
 
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
-        # A grammar's empty-prefix state -> {scan position: _Split}. Keys
-        # are held weakly and the splits refer to no state, so a grammar's
-        # entry goes with the grammar.
+        # A grammar's tables -> {scan position: _Split}. Keys are held
+        # weakly and the splits refer to no state, so a grammar's entry goes
+        # with the grammar.
         self._cache = weakref.WeakKeyDictionary()
         # Equal splits are one object, shared by positions and grammars,
         # and dropped once no grammar's entry holds them.
@@ -142,25 +142,6 @@ class TokenTrie:
                 node = nxt
             node.token_ids.append(tid)
 
-    def _frontier_splits(self, s: PrefixState):
-        """The splits of the scan positions on the state's frontier, each
-        classified on its first use by any state of the grammar."""
-        initial = s.initial or s
-        cached = self._cache.get(initial)
-        if cached is None:
-            cached = self._cache[initial] = {}
-        out = []
-        for pos in kernel.scan_positions(s.tables, s):
-            split = cached.get(pos)
-            if split is None:
-                key = kernel.classify(s.tables, pos, self.root)
-                split = self._interned.get(key)
-                if split is None:
-                    split = self._interned[key] = _Split(*key)
-                cached[pos] = split
-            out.append(split)
-        return out
-
 
 def build_trie(v: Vocabulary) -> TokenTrie:
     return TokenTrie(v)
@@ -177,8 +158,18 @@ def allowed_tokens(s: PrefixState, t: TokenTrie) -> set:
     out = set()
     if s.is_complete():
         out.add(t.vocab.eos_id)
+    cached = t._cache.get(s.tables)
+    if cached is None:
+        cached = t._cache[s.tables] = {}
     dependent = set()
-    for split in t._frontier_splits(s):
+    for pos in kernel.scan_positions(s):
+        split = cached.get(pos)
+        if split is None:  # classified on its first use by any state of the grammar
+            key = kernel.classify(s.tables, pos, t.root)
+            split = t._interned.get(key)
+            if split is None:
+                split = t._interned[key] = _Split(*key)
+            cached[pos] = split
         out |= split.accepted
         dependent |= split.dependent
     # Trial advances share prefixes: `reached` maps each prefix advanced
@@ -204,6 +195,8 @@ def dense_mask(ids, size: int) -> list:
     """Decoder-friendly boolean view of a token-id set."""
     mask = [False] * size
     for tid in ids:
+        if not 0 <= tid < size:
+            raise VocabularyError(f"token id {tid} outside [0, {size})")
         mask[tid] = True
     return mask
 
@@ -212,6 +205,8 @@ def advance_token(s: PrefixState, t: TokenTrie, tid: int) -> PrefixState:
     """Advance a state by every character of one token's string."""
     if tid == t.vocab.eos_id:
         raise DisallowedTokenError("cannot advance past eos")
+    if not 0 <= tid < t.vocab.size:
+        raise DisallowedTokenError(f"token id {tid} outside [0, {t.vocab.size})")
     text = t.vocab[tid]
     state, consumed = s.advance_string(text)
     if state is None:

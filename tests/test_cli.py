@@ -414,6 +414,14 @@ BAD_FILES = {
     "corpus_int": "[0, 1, 3]\n5\n",
     "corpus_id_out_of_range": "[0, 1, 3]\n[0, 9]\n",
     "corpus_blank": "\n\n",
+    "dataset_gold_nope": json.dumps({"id": "ex-7", "utterance": "u", "gold": "(nope)"}),
+    "dataset_gold_unbalanced": json.dumps({"id": "ex-8", "utterance": "u", "gold": "[IN:A x"}),
+    "dataset_repeated_id": "\n".join(
+        json.dumps({"id": "dup", "utterance": "u", "gold": "g", "portion": p}) for p in ("train", "test")
+    ),
+    "sigs_ok": json.dumps({"symbol": "now", "args": [], "result": "Datetime"}),
+    "schema_no_columns": json.dumps({"tables": [{"name": "t", "columns": []}]}),
+    "predictions_unknown_id": json.dumps({"id": "zz", "prediction": "(now)"}),
 }
 
 
@@ -486,6 +494,27 @@ BAD_FILES = {
         pytest.param(
             ["decode", "--ngram-corpus", "{corpus_blank}", "--vocab", "{v}", "--grammar", "{g}"], 2, id="corpus-blank"
         ),
+        # data errors met after the file loaded
+        pytest.param(
+            ["induce-grammar", "--dataset", "{dataset_gold_nope}", "--signatures", "{sigs_ok}", "--format", "lispress"],
+            2,
+            id="gold-unknown-symbol",
+        ),
+        pytest.param(
+            ["induce-grammar", "--dataset", "{dataset_gold_unbalanced}", "--format", "mtop"], 2, id="gold-not-mtop"
+        ),
+        pytest.param(["specialize-sql", "--schema", "{schema_no_columns}"], 2, id="schema-no-columns"),
+        pytest.param(
+            ["evaluate", "--predictions", "{predictions_unknown_id}", "--dataset", "{dataset_ok}"],
+            2,
+            id="predictions-unknown-id",
+        ),
+        pytest.param(
+            ["build-prompt", "--dataset", "{dataset_ok}", "--target", "t", "--context-mode", "sql_none"],
+            2,
+            id="dataset-no-schema",
+        ),
+        pytest.param(["make-splits", "--dataset", "{dataset_repeated_id}"], 2, id="dataset-repeated-id"),
     ],
 )
 def test_bad_input_is_a_typed_error(capsys, tmp_path, grammar_file, vocab_file, argv, code):
@@ -505,6 +534,8 @@ def test_bad_input_is_a_typed_error(capsys, tmp_path, grammar_file, vocab_file, 
     assert got == code and err.startswith("error: ")
     if code == 2:
         assert str(paths[argv[2].strip("{}")]) in err
+    if argv[2] in ("{dataset_gold_nope}", "{dataset_gold_unbalanced}"):
+        assert "example 'ex-" in err
 
 
 def write_dataset(tmp_path, n_train=1600, n_dev=200, n_test=400):

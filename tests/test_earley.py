@@ -132,7 +132,8 @@ def test_table_layout():
     # one slot per scanned character or nonterminal, then a None end slot;
     # the epsilon terminal takes no slot
     g = parse_grammar('S -> "ab" A | ""\nA -> [^x]')
-    syms, lhs_at, starts, *_ = kernel.compile_tables(g)
+    tables = kernel.compile_tables(g)
+    syms, lhs_at, starts = tables.syms, tables.lhs_at, tables.starts
     a, b, not_x = (frozenset("a"), False), (frozenset("b"), False), (frozenset("x"), True)
     assert syms == [a, b, 1, None, None, not_x, None]
     assert lhs_at == [0, 0, 0, 0, 0, 1, 1]
@@ -320,7 +321,7 @@ class TestColumns:
         gc.disable()
         try:
             assert init_state(g).advance_string(text)[0].is_complete()
-            predictions = init_state(g).tables[5]
+            predictions = init_state(g).tables.predictions
             cached = len(predictions)
             assert cached > 1
             # with the cache warm, a dropped state dies by refcounting
@@ -375,7 +376,7 @@ def textbook_column(tables, chart, text):
     set of (pos, origin column index): scan the last character (or seed
     the start productions), then predict and complete until nothing
     changes, a zero-span completion reading the growing column itself."""
-    syms, lhs_at, starts, _, start = tables[:5]
+    syms, lhs_at, starts, start = tables.syms, tables.lhs_at, tables.starts, tables.start
     k = len(chart)
     if k == 0:
         column = {(p, 0) for p in starts[start]}
@@ -423,7 +424,10 @@ def assert_columns_equal_the_textbook_closure(g, viable):
         states, chart = paths[word]
         index = {id(s): i for i, s in enumerate(states)}
         state = states[-1]
-        syms = root.tables[0]
+        syms = root.tables.syms
+        # only the empty prefix's column owns no item, which is how
+        # is_complete tells an item that started at the empty prefix
+        assert bool(state.items) == bool(word), (g, word)
         own = [(pos, index[id(origin)]) for pos, origin in state.items]
         assert len(set(own)) == len(own)
         assert set(own) == {(p, o) for p, o in chart[-1] if o < len(word)}, (g, word)
@@ -545,13 +549,5 @@ def _viable_states(g, lang, max_len):
 
 
 def _grammar_alphabet(g):
-    chars = set()
-    for p in g.productions:
-        for s in p.rhs:
-            if s.kind == "terminal":
-                chars.update(s.text)
-            elif s.kind == "charclass":
-                chars.update(s.chars)
     # one char outside the alphabet exercises sure-reject paths
-    chars.add("z")
-    return sorted(chars)
+    return sorted(grammar_alphabet(g) | {"z"})

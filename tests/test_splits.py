@@ -113,6 +113,19 @@ class TestMakeSplits:
         with pytest.raises(SplitError):
             make_splits(synth_dataset(n_train=400, n_dev=100, n_test=100))
 
+    def test_repeated_id(self):
+        # one id in the train and the test pool would land in both splits
+        data = [
+            DatasetExample(id=f"t{i}", utterance="", gold="", portion="train") for i in range(600)
+        ]
+        data += [
+            DatasetExample(id="dup", utterance="", gold="", portion=portion)
+            for portion in ("train", "test")
+        ]
+        data.append(DatasetExample(id="d0", utterance="", gold="", portion="dev"))
+        with pytest.raises(SplitError, match="'dup'"):
+            make_splits(data, 0)
+
 
 class TestLoadDataset:
     def test_basic(self):
@@ -137,6 +150,11 @@ class TestLoadDataset:
         )
         ex = load_dataset_jsonl(text)[0]
         assert ex.schema.tables[0].name == "t"
+
+    def test_repeated_id(self):
+        text = "\n".join(json.dumps({"id": "dup", "utterance": u, "gold": "g"}) for u in "ab")
+        with pytest.raises(SplitError, match="'dup'"):
+            load_dataset_jsonl(text)
 
     def test_bad_json(self):
         with pytest.raises(SplitError):
@@ -176,6 +194,12 @@ class TestEvaluate:
     def test_unknown_id(self):
         with pytest.raises(EvaluationError):
             evaluate([("9", "x")], GOLD, "exact")
+
+    def test_repeated_gold_id(self):
+        # would score one prediction twice: n=2 and accuracy 0.5
+        gold = [DatasetExample(id="dup", utterance="", gold=g) for g in ("g", "h")]
+        with pytest.raises(EvaluationError, match="'dup'"):
+            evaluate([("dup", "g")], gold, "exact")
 
     def test_unsupported_metrics(self):
         for metric in ("denotation", "execution", "made_up"):

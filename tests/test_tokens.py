@@ -164,12 +164,18 @@ class TestAllowedTokens:
     def test_dense_mask_view(self):
         assert dense_mask({1, 3}, 5) == [False, True, False, True, False]
 
+    @pytest.mark.parametrize("ids,bad", [({-1, 2}, -1), ({9}, 9), ({4}, 4)])
+    def test_dense_mask_rejects_ids_outside_the_vocabulary(self, ids, bad):
+        # a negative id would index from the end
+        with pytest.raises(VocabularyError, match=f"token id {bad} outside"):
+            dense_mask(ids, 4)
+
 
 def classify_at(state, trie, negated=False):
     """(accepted, dependent) at the scan position on the state's frontier
     whose class is negated or not."""
-    syms = state.tables[0]
-    (pos,) = [p for p in kernel.scan_positions(state.tables, state) if syms[p][1] == negated]
+    syms = state.tables.syms
+    (pos,) = [p for p in kernel.scan_positions(state) if syms[p][1] == negated]
     return kernel.classify(state.tables, pos, trie.root)
 
 
@@ -228,7 +234,7 @@ class TestSplit:
             "tables = init_state(reduce(parse_grammar(text))).tables\n"
             "tokens = [''.join(p) for n in range(1, 13) for p in product(alphabet, repeat=n)]\n"
             "root = build_trie(Vocabulary(tokens + [''], len(tokens))).root\n"
-            "for pos, sym in enumerate(tables[0]):\n"
+            "for pos, sym in enumerate(tables.syms):\n"
             "    if type(sym) is tuple:\n"
             "        kernel.classify(tables, pos, root)\n"
         )
@@ -298,6 +304,14 @@ class TestAdvanceToken:
         t = build_trie(v)
         with pytest.raises(DisallowedTokenError):
             advance_token(init_state(ANBN), t, v.eos_id)
+
+    @pytest.mark.parametrize("tid", [-2, -1, 4, 7])
+    def test_id_outside_the_vocabulary(self, tid):
+        # -2 would index "ab" and -1 the empty eos text, which advances
+        # nothing; 7 would raise a bare IndexError
+        t = build_trie(Vocabulary(["a", "b", "ab", ""], eos_id=3))
+        with pytest.raises(DisallowedTokenError, match=f"token id {tid} outside"):
+            advance_token(init_state(ANBN), t, tid)
 
     def test_masked_token_paths_stay_viable(self):
         # replaying any token path kept inside the mask spells a viable prefix
