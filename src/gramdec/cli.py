@@ -41,6 +41,7 @@ from .prompting import (
 from .splits import (
     MetricReport,
     aggregate_low,
+    check_metric,
     evaluate,
     load_dataset_jsonl,
     load_predictions_jsonl,
@@ -297,6 +298,7 @@ def _cmd_evaluate(args):
         mean, std = aggregate_low(reports)
         print(json.dumps({"mean": mean, "stddev": std}))
         return 0
+    check_metric(args.metric)  # a flag error names no file
     gold = _load(load_dataset_jsonl, args.dataset)
     report = _load(
         lambda text: evaluate(load_predictions_jsonl(text), gold, args.metric), args.predictions

@@ -21,6 +21,8 @@ A grammar is compiled by `compile_tables` into a `Tables`:
                                    that owns each position
     starts      : list[list[int]]  first position of each production, per
                                    nonterminal id
+    uses        : list[list[int]]  per nonterminal id, the position after
+                                   each slot of `syms` that holds it
     nullable    : list[bool]       per nonterminal id
     start       : int              start nonterminal id
     predictions : dict             the grammar's prediction sets (below),
@@ -68,7 +70,8 @@ items its character scanned, since `advance` returns None when none scans.
 So an own item whose origin owns no item started at the empty prefix.
 
 A column refers only to older columns through its own items' origins,
-never to itself, and neither the tables nor any Predictions refers to a
+never to itself (but for `classify`'s universal stand-in, below, while
+the call lasts), and neither the tables nor any Predictions refers to a
 column: earlier columns stay reachable through origins and are freed by
 reference counting once nothing points at them. Columns are frozen once
 closed, so forked prefixes are branch-safe by construction, and advancing
@@ -81,17 +84,37 @@ chart of any state; the token layer caches its result per (grammar, trie,
 p). The context p's production started in is unknown, so it is a stand-in
 origin column with no items, and the walk starts from a column holding the
 one item (p, stand-in). Each trie edge is one `advance` of the column at
-its parent node. A token is accepted if advancing over all its characters
+its parent node, taken only for a character that column scans, and only
+towards a node with children, since an edge that scans reaches a
+non-empty column. A token is accepted if advancing over all its characters
 leaves a non-empty column: wherever an item (p, origin) is on a frontier,
 the state's chart holds that column's items with origin for the stand-in.
 An end slot whose origin is the stand-in completes p's production into
 the stand-in, which has no items to complete; what may follow depends on
-the chart, so the walk escapes there. A token that is not accepted is
-context-dependent if its walk escaped on the way, and rejected at p
-otherwise. The walk is as deep as the longest token and the chart dedups
-its items, so left recursion and long literals need no bound. The
-stand-in owns no item, as the empty prefix's column does, and nothing
-asks whether a column of the walk is complete.
+the chart, so the walk escapes there.
+
+What may follow is judged against a universal stand-in, whose waits map
+every nonterminal A to the item (q + 1, universal) for every q with
+syms[q] == A: a completion into it continues into every use of A, and
+through the uses at the ends of productions into every use of their
+lhs, at any depth. Every chart's continuation of p's production is
+therefore among the universal one's, so a token that dies there dies in
+every chart. Walking from (p, universal) would repeat the plain walk up
+to each escape, and a column is the union of what its items derive, so
+the walk restarts at each node where the plain walk escaped instead:
+from the column of the items (q + 1, universal) for the uses of
+lhs_at[p], over the characters below that node. The column after a given
+suffix is the same below every such node, so each is advanced once per
+call. A token that is not accepted is context-dependent if one of these
+walks survives its characters, and rejected at p otherwise, so pruning
+moves tokens from dependent to rejected and never into accepted. The
+universal column is the one column that refers to itself: it is built per
+call and its waits are emptied before `classify` returns.
+
+The walks are as deep as the longest token and the chart dedups their
+items, so left recursion and long literals need no bound. The stand-ins
+own no item, as the empty prefix's column does, and nothing asks whether
+a column of a walk is complete.
 """
 
 from ..grammar import NONTERMINAL, TERMINAL, nullable_set
@@ -170,12 +193,15 @@ class Tables:
     """A compiled grammar (see Data layout). Weakly referable, so a cache
     can key on a grammar's tables and go with them."""
 
-    __slots__ = ("syms", "lhs_at", "starts", "nullable", "start", "predictions", "__weakref__")
+    __slots__ = (
+        "syms", "lhs_at", "starts", "uses", "nullable", "start", "predictions", "__weakref__"
+    )
 
-    def __init__(self, syms, lhs_at, starts, nullable, start):
+    def __init__(self, syms, lhs_at, starts, uses, nullable, start):
         self.syms = syms
         self.lhs_at = lhs_at
         self.starts = starts
+        self.uses = uses
         self.nullable = nullable
         self.start = start
         self.predictions = {}
@@ -189,6 +215,7 @@ def compile_tables(grammar) -> Tables:
     syms = []
     lhs_at = []
     starts = [[] for _ in names]
+    uses = [[] for _ in names]
     pairs = {}  # one tuple per distinct scan pair: compiled tables are cached
     for p in grammar.productions:
         lhs = nt_ids[p.lhs]
@@ -196,6 +223,7 @@ def compile_tables(grammar) -> Tables:
         for sym in p.rhs:
             if sym.kind == NONTERMINAL:
                 syms.append(nt_ids[sym.name])
+                uses[syms[-1]].append(len(syms))
                 continue
             if sym.kind == TERMINAL:
                 scans = [(frozenset(c), False) for c in sym.text]
@@ -206,7 +234,7 @@ def compile_tables(grammar) -> Tables:
         lhs_at.extend([lhs] * (len(syms) - len(lhs_at)))
     nullable_names = nullable_set(grammar)
     nullable = [name in nullable_names for name in names]
-    return Tables(syms, lhs_at, starts, nullable, nt_ids[grammar.start])
+    return Tables(syms, lhs_at, starts, uses, nullable, nt_ids[grammar.start])
 
 
 def _predict(tables, key):
@@ -315,16 +343,8 @@ class PrefixState:
         """Legal next characters, read off the frontier's scan pairs: the
         characters of the positive ones and every character outside some
         negated one."""
-        syms = self.tables.syms
-        positive = set()
-        negated = []
-        for pos in scan_positions(self):
-            chars, is_negated = syms[pos]
-            if is_negated:
-                negated.append(chars)
-            else:
-                positive.update(chars)
-        return CharMask(positive, negated)
+        positive, excluded = _scan_chars(self)
+        return CharMask(positive, () if excluded is None else (excluded,))
 
     def is_complete(self) -> bool:
         """Whether the consumed prefix is a full member of the language."""
@@ -379,6 +399,39 @@ def scan_positions(column):
     return out
 
 
+def _scan_chars(column):
+    """The characters the column scans, as (positive, excluded): a
+    character scans if it is in `positive`, or if `excluded` is not None
+    and the character is not in it."""
+    syms = column.tables.syms
+    pairs = [syms[pos] for pos, _ in column.items]
+    pairs += [syms[pos] for pos in column.pred.scan_at]
+    positive = set()
+    excluded = None
+    for pair in pairs:
+        if type(pair) is tuple:
+            chars, negated = pair
+            if not negated:
+                positive |= chars
+            elif excluded is None:
+                excluded = chars
+            else:
+                excluded &= chars
+    return positive, excluded
+
+
+def _scanned(node, chars):
+    """The (character, child) pairs of a trie node whose character is in
+    `chars`, a `_scan_chars` pair."""
+    positive, excluded = chars
+    children = node.children
+    if excluded is None:
+        scanned = children.keys() & positive
+    else:
+        scanned = children.keys() - (excluded - positive)
+    return [(ch, children[ch]) for ch in scanned]
+
+
 def classify(tables, pos, root):
     """Split a token trie against scan position `pos` (see Token splits):
     returns (accepted, dependent), two frozensets of token ids.
@@ -386,28 +439,52 @@ def classify(tables, pos, root):
     `root` is the trie's root node; a node has `children`, a dict from
     character to node, and `token_ids`, the ids spelled by its path.
     """
-    syms = tables.syms
     context = PrefixState(tables, [])
+    escape = (tables.syms.index(None, pos), context)  # completes into the stand-in
     accepted = set()
-    dependent = set()
-    walk = [(root, PrefixState(tables, [(pos, context)]), False)]
+    escapes = []  # the nodes with children where the walk escaped
+    walk = [(root, PrefixState(tables, [(pos, context)]))]
     while walk:
-        node, column, below_escape = walk.pop()
-        for ch, child in node.children.items():
-            advanced = advance(column, ch)
-            if advanced is None:
-                continue
+        node, column = walk.pop()
+        for ch, child in _scanned(node, _scan_chars(column)):
             accepted.update(child.token_ids)
-            if not child.children:
-                continue
-            escaped = not below_escape and any(
-                origin is context and syms[p] is None for p, origin in advanced.items
-            )
-            if escaped:
-                subtree = [child]
-                while subtree:
-                    n = subtree.pop()
-                    dependent.update(n.token_ids)
-                    subtree.extend(n.children.values())
-            walk.append((child, advanced, below_escape or escaped))
-    return frozenset(accepted), frozenset(dependent - accepted)
+            if child.children:
+                advanced = advance(column, ch)
+                if escape in advanced.items:
+                    escapes.append(child)
+                walk.append((child, advanced))
+    after = tables.uses[tables.lhs_at[pos]]
+    if not escapes or not after:  # no escape, or nothing may follow p's lhs
+        return frozenset(accepted), frozenset()
+    universal = PrefixState(tables, [])
+    universal.waits = {
+        nt: [(q, universal) for q in positions] for nt, positions in enumerate(tables.uses)
+    }
+    try:
+        items = [(q, universal) for q in after]
+        survivors = _survivors(escapes, PrefixState(tables, items, *_close(tables, items)))
+    finally:
+        universal.waits = NO_WAITS  # it referred to itself
+    return frozenset(accepted), frozenset(survivors - accepted)
+
+
+def _survivors(escapes, column):
+    """The ids of the tokens spelled below the trie nodes `escapes` whose
+    characters after such a node advance `column` to the end."""
+    survivors = set()
+    # The column after a suffix is the same below every escape node.
+    reached = {"": (column, _scan_chars(column))}
+    for node in escapes:
+        walk = [(node, "")]
+        while walk:
+            node, suffix = walk.pop()
+            column, chars = reached[suffix]
+            for ch, child in _scanned(node, chars):
+                survivors.update(child.token_ids)
+                if child.children:
+                    longer = suffix + ch
+                    if longer not in reached:
+                        advanced = advance(column, ch)
+                        reached[longer] = advanced, _scan_chars(advanced)
+                    walk.append((child, longer))
+    return survivors

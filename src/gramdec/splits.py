@@ -303,6 +303,16 @@ class MetricReport:
 _UNSUPPORTED = {"denotation", "denotation_match", "execution", "test_suite_execution"}
 
 
+def check_metric(metric: str) -> None:
+    """Raise MetricNotSupportedError unless `evaluate` can score `metric`."""
+    if metric in _UNSUPPORTED:
+        raise MetricNotSupportedError(
+            f"metric {metric!r} requires an executor and is not supported"
+        )
+    if metric not in ("exact", "lispress"):
+        raise MetricNotSupportedError(f"unknown metric {metric!r}")
+
+
 def evaluate(predictions, gold, metric: str) -> MetricReport:
     """Score predictions against gold examples.
 
@@ -311,12 +321,7 @@ def evaluate(predictions, gold, metric: str) -> MetricReport:
     lispress metric a prediction that fails to parse counts incorrect and
     is tallied in parse_failures.
     """
-    if metric in _UNSUPPORTED:
-        raise MetricNotSupportedError(
-            f"metric {metric!r} requires an executor and is not supported"
-        )
-    if metric not in ("exact", "lispress"):
-        raise MetricNotSupportedError(f"unknown metric {metric!r}")
+    check_metric(metric)
     _check_unique_ids(gold, EvaluationError)
     pred_map = {}
     for pid, text in predictions:

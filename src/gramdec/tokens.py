@@ -9,10 +9,11 @@ out truncated outputs by construction.
 A mask is built from per-position splits of the vocabulary (the kernel's
 `classify`): each scan position of a grammar splits the trie once, on its
 first use, into the tokens it accepts in any context and the tokens whose
-legality depends on the context. A state's mask is the union of the
-accepted sets of its frontier's scan positions, plus those of the
-context-dependent tokens that survive a trial advance on the state's chart.
-The splits are cached on the trie per grammar and freed with either.
+legality depends on the context, leaving out those that no context of
+the grammar admits. A state's mask is the union of the accepted sets of
+its frontier's scan positions, plus those of the context-dependent tokens
+that survive a trial advance on the state's chart. The splits are cached
+on the trie per grammar and freed with either.
 """
 
 from __future__ import annotations

@@ -699,6 +699,23 @@ class TestEvaluate:
         )
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("metric", ["denotation", "made_up"])
+    def test_metric_error_names_no_file(self, capsys, tmp_path, metric):
+        # the flag is checked before any file loads: neither file exists
+        dataset, preds = tmp_path / "gold.jsonl", tmp_path / "p.jsonl"
+        code, _, err = run(
+            capsys,
+            "evaluate",
+            "--dataset",
+            str(dataset),
+            "--predictions",
+            str(preds),
+            "--metric",
+            metric,
+        )
+        assert code == 2
+        assert f"metric {metric!r}" in err and ".jsonl" not in err
+
     def test_needs_inputs(self, capsys):
         code, _, _ = run(capsys, "evaluate")
         assert code == 1

@@ -138,6 +138,7 @@ def test_table_layout():
     assert syms == [a, b, 1, None, None, not_x, None]
     assert lhs_at == [0, 0, 0, 0, 0, 1, 1]
     assert starts == [[0, 4], [5]]
+    assert tables.uses == [[], [3]]  # the position after A's one slot
 
 
 class TestAdvance:

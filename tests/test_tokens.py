@@ -150,16 +150,25 @@ class TestAllowedTokens:
         # tokens over the grammar's characters and one more, which negated
         # classes may accept
         alphabet = sorted(grammar_alphabet(g) | {data.draw(CHARS)})
-        token = st.text(st.sampled_from(alphabet), min_size=1, max_size=4)
-        vocab = make_vocab(data.draw(st.lists(token, min_size=1, max_size=12, unique=True)))
-        trie = build_trie(vocab)
-        for _ in range(4):
-            assert allowed_tokens(state, trie) == oracle_allowed(state, vocab)
+        states, path = [state], ""
+        for _ in range(8):
             mask = state.allowed_next_chars()
             viable = [c for c in alphabet if c in mask]
             if not viable:
                 break
-            state = state.advance_char(data.draw(st.sampled_from(viable)))
+            path += data.draw(st.sampled_from(viable))
+            state = state.advance_char(path[-1])
+            states.append(state)
+        # and pieces of a viable path, which cross the ends of its
+        # productions into the contexts that the path gives them
+        token = st.text(st.sampled_from(alphabet), min_size=1, max_size=4)
+        if path:
+            piece = st.tuples(st.integers(0, len(path) - 1), st.integers(1, 4))
+            token = st.one_of(token, piece.map(lambda ik: path[ik[0] : ik[0] + ik[1]]))
+        vocab = make_vocab(data.draw(st.lists(token, min_size=1, max_size=12, unique=True)))
+        trie = build_trie(vocab)
+        for state in states:
+            assert allowed_tokens(state, trie) == oracle_allowed(state, vocab)
 
     def test_dense_mask_view(self):
         assert dense_mask({1, 3}, 5) == [False, True, False, True, False]
@@ -188,9 +197,10 @@ class TestSplit:
         inside = init_state(g).advance_char('"')
         accepted, dependent = classify_at(inside, t, negated=True)
         # the literal's own characters are accepted in any context, however
-        # long; what crosses its end goes to the chart
+        # long; what crosses its end goes to the chart, unless nothing may
+        # follow it anywhere: 'a"b' has a character after the closing quote
         assert accepted == {0, 4, 5}
-        assert dependent == {1, 2, 6}
+        assert dependent == {1, 6}
         mask = allowed_tokens(inside, t)
         assert mask == oracle_allowed(inside, v) == {0, 1, 3, 4, 5, 6}
         after = inside.advance_string("ab" + long)[0]
@@ -201,8 +211,22 @@ class TestSplit:
         v = make_vocab(["a", "ab", "ac", "b"])
         t = build_trie(v)
         s = init_state(g)
-        assert classify_at(s, t) == ({0}, {1, 2})
+        # "b" follows A in some context, "c" in none
+        assert classify_at(s, t) == ({0}, {1})
         assert allowed_tokens(s, t) == oracle_allowed(s, v) == {0, 1}
+
+    def test_token_legal_after_one_use_of_its_nonterminal(self):
+        # A is used twice: followed by "x" in S, and at the end of B, so
+        # that ")" follows it only one completion further up
+        g = reduce(parse_grammar('S -> A "x" | "(" B ")"\nB -> A\nA -> "a"'))
+        v = make_vocab(["a", "ax", "a)", "az", "(a"])
+        t = build_trie(v)
+        s = init_state(g)
+        inside = s.advance_char("(")
+        # "a)" continues only the second use and "az" no use at all
+        assert classify_at(inside, t) == ({0}, {1, 2})
+        assert allowed_tokens(inside, t) == oracle_allowed(inside, v) == {0, 2}
+        assert allowed_tokens(s, t) == oracle_allowed(s, v) == {0, 1, 4}
 
     def test_left_recursion_inside_the_production_is_exact(self):
         g = reduce(parse_grammar('S -> "(" E ")"\nE -> E "+x" | "x"'))
