@@ -183,7 +183,7 @@ def _cmd_allowed_chars(args):
     mask = state.allowed_next_chars()
     payload = {
         "chars": sorted(mask.positive),
-        "negated_classes": [sorted(n) for n in mask.negated_classes],
+        "negated_classes": [] if mask.excluded is None else [sorted(mask.excluded)],
         "complete": state.is_complete(),
     }
     _emit(args, payload, json.dumps(payload))

@@ -2,7 +2,10 @@
 
 This module is the hot kernel and the only one that knows the table format
 and the column layout: `compile_tables` builds the tables, `initial_state`
-and `advance` build columns, and the recognizer's state is a column.
+and `advance` build columns, and the recognizer's state is a column. The
+characters a column scans are one `CharMask`, which
+`PrefixState.allowed_next_chars` builds and `classify`'s walks filter trie
+children with.
 
 Data layout
 -----------
@@ -84,8 +87,8 @@ chart of any state; the token layer caches its result per (grammar, trie,
 p). The context p's production started in is unknown, so it is a stand-in
 origin column with no items, and the walk starts from a column holding the
 one item (p, stand-in). Each trie edge is one `advance` of the column at
-its parent node, taken only for a character that column scans, and only
-towards a node with children, since an edge that scans reaches a
+its parent node, taken only for a character in that column's CharMask, and
+only towards a node with children, since an edge that scans reaches a
 non-empty column. A token is accepted if advancing over all its characters
 leaves a non-empty column: wherever an item (p, origin) is on a frontier,
 the state's chart holds that column's items with origin for the stand-in.
@@ -121,31 +124,30 @@ from ..grammar import NONTERMINAL, TERMINAL, nullable_set
 
 
 class CharMask:
-    """Set of legal next characters; may be cofinite via a negated class.
+    """Set of legal next characters: `positive` when `excluded` is None,
+    else the cofinite set of every character outside `excluded`.
 
-    Negated classes fold into one excluded set, the intersection of the
-    classes less the positive characters, so equal masks have equal fields:
-    a cofinite mask holds no positive characters and one negated class.
+    A cofinite mask is normalised once, to no positive characters and
+    `excluded - positive`, so equal masks have equal fields.
     """
 
-    def __init__(self, positive, negated_classes=()):
-        positive = frozenset(positive)
-        negated = [frozenset(n) for n in negated_classes]
-        if negated:
-            self.positive = frozenset()
-            self.negated_classes = (frozenset.intersection(*negated) - positive,)
+    __slots__ = ("positive", "excluded")
+
+    def __init__(self, positive, excluded=None):
+        positive = frozenset(positive)  # no copy of a frozenset
+        if excluded is None:
+            self.positive, self.excluded = positive, None
         else:
-            self.positive = positive
-            self.negated_classes = ()
+            self.positive, self.excluded = frozenset(), frozenset(excluded) - positive
 
     def __contains__(self, c) -> bool:
-        if self.negated_classes:
-            return c not in self.negated_classes[0]
-        return c in self.positive
+        if self.excluded is None:
+            return c in self.positive
+        return c not in self.excluded
 
     @property
     def is_finite(self) -> bool:
-        return not self.negated_classes
+        return self.excluded is None
 
     def as_set(self) -> frozenset:
         if not self.is_finite:
@@ -157,21 +159,18 @@ class CharMask:
 
     def __eq__(self, other):
         if isinstance(other, CharMask):
-            return (
-                self.positive == other.positive
-                and self.negated_classes == other.negated_classes
-            )
+            return self.positive == other.positive and self.excluded == other.excluded
         if isinstance(other, (set, frozenset)):
             return self.is_finite and self.positive == frozenset(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.positive, self.negated_classes))
+        return hash((self.positive, self.excluded))
 
     def __repr__(self):
         if self.is_finite:
             return f"CharMask({sorted(self.positive)!r})"
-        return f"CharMask([], negated=[{sorted(self.negated_classes[0])!r}])"
+        return f"CharMask([], excluded={sorted(self.excluded)!r})"
 
 
 class Predictions:
@@ -343,8 +342,17 @@ class PrefixState:
         """Legal next characters, read off the frontier's scan pairs: the
         characters of the positive ones and every character outside some
         negated one."""
-        positive, excluded = _scan_chars(self)
-        return CharMask(positive, () if excluded is None else (excluded,))
+        syms = self.tables.syms
+        positive, negated = [], []
+        for pos, _ in self.items:
+            pair = syms[pos]
+            if type(pair) is tuple:
+                (negated if pair[1] else positive).append(pair[0])
+        for pos in self.pred.scan_at:
+            chars, neg = syms[pos]
+            (negated if neg else positive).append(chars)
+        excluded = frozenset.intersection(*negated) if negated else None
+        return CharMask(frozenset().union(*positive), excluded)
 
     def is_complete(self) -> bool:
         """Whether the consumed prefix is a full member of the language."""
@@ -399,36 +407,14 @@ def scan_positions(column):
     return out
 
 
-def _scan_chars(column):
-    """The characters the column scans, as (positive, excluded): a
-    character scans if it is in `positive`, or if `excluded` is not None
-    and the character is not in it."""
-    syms = column.tables.syms
-    pairs = [syms[pos] for pos, _ in column.items]
-    pairs += [syms[pos] for pos in column.pred.scan_at]
-    positive = set()
-    excluded = None
-    for pair in pairs:
-        if type(pair) is tuple:
-            chars, negated = pair
-            if not negated:
-                positive |= chars
-            elif excluded is None:
-                excluded = chars
-            else:
-                excluded &= chars
-    return positive, excluded
-
-
-def _scanned(node, chars):
+def _scanned(node, mask):
     """The (character, child) pairs of a trie node whose character is in
-    `chars`, a `_scan_chars` pair."""
-    positive, excluded = chars
+    the CharMask `mask`."""
     children = node.children
-    if excluded is None:
-        scanned = children.keys() & positive
+    if mask.excluded is None:
+        scanned = children.keys() & mask.positive
     else:
-        scanned = children.keys() - (excluded - positive)
+        scanned = children.keys() - mask.excluded
     return [(ch, children[ch]) for ch in scanned]
 
 
@@ -446,7 +432,7 @@ def classify(tables, pos, root):
     walk = [(root, PrefixState(tables, [(pos, context)]))]
     while walk:
         node, column = walk.pop()
-        for ch, child in _scanned(node, _scan_chars(column)):
+        for ch, child in _scanned(node, column.allowed_next_chars()):
             accepted.update(child.token_ids)
             if child.children:
                 advanced = advance(column, ch)
@@ -473,18 +459,18 @@ def _survivors(escapes, column):
     characters after such a node advance `column` to the end."""
     survivors = set()
     # The column after a suffix is the same below every escape node.
-    reached = {"": (column, _scan_chars(column))}
+    reached = {"": (column, column.allowed_next_chars())}
     for node in escapes:
         walk = [(node, "")]
         while walk:
             node, suffix = walk.pop()
-            column, chars = reached[suffix]
-            for ch, child in _scanned(node, chars):
+            column, mask = reached[suffix]
+            for ch, child in _scanned(node, mask):
                 survivors.update(child.token_ids)
                 if child.children:
                     longer = suffix + ch
                     if longer not in reached:
                         advanced = advance(column, ch)
-                        reached[longer] = advanced, _scan_chars(advanced)
+                        reached[longer] = advanced, advanced.allowed_next_chars()
                     walk.append((child, longer))
     return survivors

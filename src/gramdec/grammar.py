@@ -295,17 +295,35 @@ def _production_rhs_nts(p: Production):
 
 def _derivers(g: Grammar, leaf) -> set:
     """Nonterminals with a production made only of nonterminals in the set
-    and of literals and classes that `leaf` accepts, by fixpoint."""
+    and of literals and classes that `leaf` accepts. Each production counts
+    the symbols it still waits on, a symbol `leaf` rejects never arriving,
+    and each nonterminal found counts its uses down once, so the cost is
+    linear."""
+    productions = g.productions
+    waiting = []
+    users = {}  # nonterminal -> the index of the production of each use
+    work = []
+    for i, p in enumerate(productions):
+        n = 0
+        for s in p.rhs:
+            if s.kind == NONTERMINAL:
+                users.setdefault(s.name, []).append(i)
+                n += 1
+            elif not leaf(s):
+                n += 1
+        waiting.append(n)
+        if not n:
+            work.append(p.lhs)
     found = set()
-    changed = True
-    while changed:
-        changed = False
-        for p in g.productions:
-            if p.lhs not in found and all(
-                s.name in found if s.kind == NONTERMINAL else leaf(s) for s in p.rhs
-            ):
-                found.add(p.lhs)
-                changed = True
+    while work:
+        nt = work.pop()
+        if nt in found:
+            continue
+        found.add(nt)
+        for i in users.get(nt, ()):
+            waiting[i] -= 1
+            if not waiting[i]:
+                work.append(productions[i].lhs)
     return found
 
 

@@ -127,12 +127,13 @@ def type_check(program, sigs: SignatureTable, expected=None):
 _NT_SAFE = re.compile(r"[^A-Za-z0-9_]")
 
 
-def _fresh_name(key, text: str, taken: dict) -> str:
+def _fresh_name(key, text: str, taken: dict, used: set) -> str:
     """The nonterminal of `key`: a type, or a (type, class nonterminal)
     pair naming a nonterminal of that type's literal class, whose start
     symbol is the type's own nonterminal. The first key to ask gets `text`
-    made identifier-safe, and a later key whose name is taken gets a
-    numeric suffix, so no two keys share a nonterminal."""
+    made identifier-safe, and a later key whose name is in `used` gets a
+    numeric suffix, so no two keys share a nonterminal. `taken` maps each
+    key to its name and `used` holds the names handed out."""
     if type(key) is tuple and key[0] == key[1]:
         key = key[0]
     if key in taken:
@@ -142,10 +143,11 @@ def _fresh_name(key, text: str, taken: dict) -> str:
         base = "T_" + base
     name = base
     k = 2
-    while name in taken.values():
+    while name in used:
         name = f"{base}_{k}"
         k += 1
     taken[key] = name
+    used.add(name)
     return name
 
 
@@ -163,7 +165,7 @@ def induce_lispress_grammar(
     """
     if not programs:
         raise InductionError("no programs to induce from")
-    taken: dict = {}
+    taken, used = {}, set()
     rules = {}  # (lhs, rhs) -> None: the rules in first-seen order, once
     roots = {}
     literal_types = {}
@@ -176,7 +178,7 @@ def induce_lispress_grammar(
                 literal_types[tx.type] = None
                 continue
             symbol = tx.node[0]
-            lhs = _fresh_name(tx.type, tx.type, taken)
+            lhs = _fresh_name(tx.type, tx.type, taken, used)
             rhs = []
             if not tx.children:
                 rhs.append(Symbol.t(f"({symbol})"))
@@ -185,7 +187,7 @@ def induce_lispress_grammar(
                 for i, child in enumerate(tx.children):
                     if i:
                         rhs.append(Symbol.t(" "))
-                    rhs.append(Symbol.nt(_fresh_name(child.type, child.type, taken)))
+                    rhs.append(Symbol.nt(_fresh_name(child.type, child.type, taken, used)))
                 rhs.append(Symbol.t(")"))
             rules[lhs, tuple(rhs)] = None
             stack.extend(reversed(tx.children))
@@ -200,16 +202,16 @@ def induce_lispress_grammar(
         if type_name not in sigs.literals:
             raise InductionError(f"no literal class declared for {type_name!r}")
         for p in sigs.literals[type_name].productions:
-            lhs = _fresh_name((type_name, p.lhs), p.lhs, taken)
+            lhs = _fresh_name((type_name, p.lhs), p.lhs, taken, used)
             rhs = tuple(
-                Symbol.nt(_fresh_name((type_name, s.name), s.name, taken))
+                Symbol.nt(_fresh_name((type_name, s.name), s.name, taken, used))
                 if s.kind == NONTERMINAL
                 else s
                 for s in p.rhs
             )
             rules[lhs, rhs] = None
 
-    start = _fresh_name(root_type, root_type, taken)
+    start = _fresh_name(root_type, root_type, taken, used)
     productions = [Production(lhs, rhs) for lhs, rhs in rules]
     if not any(p.lhs == start for p in productions):
         raise InductionError(f"root type {root_type!r} never produced")

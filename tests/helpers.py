@@ -1,14 +1,16 @@
 """Shared test utilities: random grammar generation and independent oracles.
 
 The oracles here deliberately avoid the code paths they check: language
-enumeration has a second breadth-first implementation, and token masks are
-recomputed by per-token trial advancement.
+enumeration has a second breadth-first implementation, viable prefixes are
+enumerated from a prefix grammar, and token masks are recomputed by
+per-token trial advancement.
 """
 
 import random
 
 from hypothesis import strategies as st
 
+from gramdec.earley import init_state
 from gramdec.errors import EmptyLanguageError, EnumerationExplosion, GramdecError
 from gramdec.grammar import (
     CHARCLASS,
@@ -89,14 +91,10 @@ def random_grammars(count, seed, max_lang=4000, enum_len=8, **kwargs):
         yield g, lang
 
 
-def bfs_enumerate(grammar: Grammar, max_len: int):
-    """Second, independent enumeration oracle: breadth-first expansion of
-    the leftmost nonterminal over sentential forms."""
-    by_lhs = {}
-    for p in grammar.productions:
-        by_lhs.setdefault(p.lhs, []).append(p)
-
-    min_len = {nt: None for nt in by_lhs}
+def _shortest_yields(grammar: Grammar) -> dict:
+    """Nonterminal -> the length of its shortest derived string, by
+    fixpoint; None for an unproductive nonterminal."""
+    min_len = {p.lhs: None for p in grammar.productions}
     changed = True
     while changed:
         changed = False
@@ -117,6 +115,16 @@ def bfs_enumerate(grammar: Grammar, max_len: int):
             if ok and (min_len[p.lhs] is None or total < min_len[p.lhs]):
                 min_len[p.lhs] = total
                 changed = True
+    return min_len
+
+
+def bfs_enumerate(grammar: Grammar, max_len: int):
+    """Second, independent enumeration oracle: breadth-first expansion of
+    the leftmost nonterminal over sentential forms."""
+    by_lhs = {}
+    for p in grammar.productions:
+        by_lhs.setdefault(p.lhs, []).append(p)
+    min_len = _shortest_yields(grammar)
 
     def lower_bound(form):
         total = len(form[0])
@@ -166,37 +174,82 @@ def bfs_enumerate(grammar: Grammar, max_len: int):
     return out
 
 
-def saturated_prefixes(
-    grammar, max_prefix_len=6, start_len=8, max_enum_len=12, limit=50_000
-):
-    """Exact prefix oracle: prefixes (up to max_prefix_len) of language
-    members, enumerated at growing length bounds until the prefix set stops
-    changing twice in a row. Returns None when saturation is not reached
-    (such grammars are skipped by callers: the enumeration bound would not
-    certify non-viability)."""
-    previous = None
-    stable = 0
-    for bound in range(start_len, max_enum_len + 1, 2):
-        try:
-            lang = enumerate_language(grammar, bound, limit=limit)
-        except (EnumerationExplosion, GramdecError):
-            return None
-        current = {p for p in prefixes_of(lang) if len(p) <= max_prefix_len}
-        if current == previous:
-            stable += 1
-            if stable >= 2:
-                return current
-        else:
-            stable = 0
-        previous = current
-    return None
+def viable_prefixes(grammar, max_prefix_len=6, limit=50_000):
+    """Exact prefix oracle: the prefixes (up to max_prefix_len) of language
+    members, enumerated from the prefix grammar, in which PRE(A) derives
+    every prefix of every string that A derives. Returns None for negated
+    classes and when the enumeration exceeds `limit`."""
+    productive = {nt for nt, m in _shortest_yields(grammar).items() if m is not None}
+    full = {nt: f"F{i}" for i, nt in enumerate(productive)}
+    pre = {nt: f"P{i}" for i, nt in enumerate(productive)}
+    rules = {}
+    for p in grammar.productions:
+        nts = [s.name for s in p.rhs if s.kind == NONTERMINAL]
+        if p.lhs not in productive or not productive.issuperset(nts):
+            continue  # no member derives through it
+        rhs = tuple(Symbol.nt(full[s.name]) if s.kind == NONTERMINAL else s for s in p.rhs)
+        rules[full[p.lhs], rhs] = rules[pre[p.lhs], rhs] = None
+        for i, s in enumerate(p.rhs):
+            # PRE(A) -> X1 .. X(i-1) and then PRE(Xi), or a proper prefix
+            # of a terminal or class Xi
+            if s.kind == NONTERMINAL:
+                tails = [(Symbol.nt(pre[s.name]),)]
+            elif s.kind == TERMINAL:
+                tails = [(Symbol.t(s.text[:k]),) if k else () for k in range(len(s.text))]
+            else:
+                tails = [()]
+            for tail in tails:
+                rules[pre[p.lhs], rhs[:i] + tail or (Symbol.t(""),)] = None
+    try:
+        prefix_grammar = Grammar(pre[grammar.start], [Production(*r) for r in rules])
+        lang = enumerate_language(prefix_grammar, max_prefix_len, limit=limit)
+    except (EnumerationExplosion, GramdecError):
+        return None
+    return lang
 
 
-def prefixes_of(strings):
+def viable_prefix_states(g, lang, max_len=6):
+    """(prefix, state) for every prefix (up to max_len) of the members
+    `lang`, shortest first, sharing parent states so that each prefix
+    costs one advance."""
+    words = {w[:k] for w in lang for k in range(min(len(w), max_len) + 1)}
+    states = {"": init_state(g)}
+    for word in sorted(words, key=lambda w: (len(w), w)):
+        if word:
+            state = states[word[:-1]].advance_char(word[-1])
+            assert state is not None, (g, word)
+            states[word] = state
+        yield word, states[word]
+
+
+def assert_survival_is_viability(g, max_len=6):
+    """Every word up to max_len over `probe_alphabet(g)` survives exactly
+    when it is a viable prefix."""
+    viable = viable_prefixes(g, max_len)
+    alphabet = probe_alphabet(g)
+    frontier = [("", init_state(g))]
+    while frontier:
+        prefix, state = frontier.pop()
+        if len(prefix) == max_len:
+            continue
+        for c in alphabet:
+            nxt = state.advance_char(c)
+            assert (nxt is not None) == (prefix + c in viable), (g, prefix + c)
+            if nxt is not None:
+                frontier.append((prefix + c, nxt))
+
+
+def oracle_allowed(state, vocab):
+    """Independent mask oracle: trial-advance every token string."""
     out = set()
-    for s in strings:
-        for i in range(len(s) + 1):
-            out.add(s[:i])
+    for tid, text in enumerate(vocab.entries):
+        if tid == vocab.eos_id:
+            if state.is_complete():
+                out.add(tid)
+            continue
+        nxt, _ = state.advance_string(text)
+        if nxt is not None:
+            out.add(tid)
     return out
 
 
@@ -228,6 +281,12 @@ def grammar_alphabet(grammar):
             elif sym.kind == CHARCLASS:
                 alphabet.update(sym.chars)
     return alphabet
+
+
+def probe_alphabet(grammar):
+    """The grammar's characters, sorted, and "z", which no random grammar
+    uses: one character outside the alphabet exercises sure-reject paths."""
+    return sorted(grammar_alphabet(grammar) | {"z"})
 
 
 # any character a str can hold: escapes, quotes, brackets, control and

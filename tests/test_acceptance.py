@@ -31,7 +31,14 @@ from gramdec.sql import (
 )
 from gramdec.tokens import advance_token, allowed_tokens, build_trie
 
-from helpers import make_vocab, random_grammars, random_vocab, saturated_prefixes
+from helpers import (
+    assert_survival_is_viability,
+    make_vocab,
+    oracle_allowed,
+    random_grammars,
+    random_vocab,
+    viable_prefix_states,
+)
 
 
 @pytest.fixture()
@@ -50,15 +57,6 @@ def family(count, seed, **kw):
     )
 
 
-def viable_prefix_states(g, lang, max_len=6):
-    words = {w[:k] for w in lang for k in range(min(len(w), max_len) + 1)}
-    states = {"": init_state(g)}
-    for word in sorted(words, key=lambda w: (len(w), w)):
-        if word:
-            states[word] = states[word[:-1]].advance_char(word[-1])
-        yield word, states[word]
-
-
 def test_01_token_mask_exactness(announce):
     start = time.time()
     rng = random.Random(1001)
@@ -68,15 +66,7 @@ def test_01_token_mask_exactness(announce):
         vocab = random_vocab(rng, alphabet="abcde", max_tokens=50, max_len=4)
         trie = build_trie(vocab)
         for word, state in viable_prefix_states(g, lang):
-            got = allowed_tokens(state, trie)
-            oracle = set()
-            for tid, text in enumerate(vocab.entries):
-                if tid == vocab.eos_id:
-                    if state.is_complete():
-                        oracle.add(tid)
-                elif state.advance_string(text)[0] is not None:
-                    oracle.add(tid)
-            assert got == oracle, (g, word)
+            assert allowed_tokens(state, trie) == oracle_allowed(state, vocab), (g, word)
             prefixes += 1
         grammars += 1
     elapsed = time.time() - start
@@ -89,23 +79,7 @@ def test_02_viable_prefix_correctness(announce):
     start = time.time()
     checked = 0
     for g, _ in family(320, seed=202, max_lang=150):
-        viable = saturated_prefixes(g, max_prefix_len=6, max_enum_len=14)
-        if viable is None:
-            continue  # enumeration bound cannot certify non-viability here
-        alphabet = sorted(
-            {c for p in g.productions for s in p.rhs for c in (s.text or s.chars or "")}
-        ) + ["z"]
-        frontier = [("", init_state(g))]
-        while frontier:
-            prefix, state = frontier.pop()
-            for c in alphabet:
-                word = prefix + c
-                if len(word) > 6:
-                    continue
-                nxt = state.advance_char(c)
-                assert (nxt is not None) == (word in viable), (g, word)
-                if nxt is not None:
-                    frontier.append((word, nxt))
+        assert_survival_is_viability(g, max_len=6)
         checked += 1
     elapsed = time.time() - start
     assert checked >= 200 and elapsed < 120

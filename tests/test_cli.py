@@ -92,6 +92,21 @@ class TestAllowedChars:
         data = json.loads(out)
         assert data == {"chars": ["a"], "negated_classes": [], "complete": True}
 
+    @pytest.mark.parametrize(
+        "prefix,expected",
+        [
+            ("", {"chars": [], "negated_classes": [["a", "b"]], "complete": False}),
+            ("c", {"chars": ["d"], "negated_classes": [], "complete": True}),
+        ],
+    )
+    def test_cofinite_mask(self, capsys, tmp_path, prefix, expected):
+        # "c" is both in [^ab] and a first character of "c" "d"
+        p = tmp_path / "g.cfg"
+        p.write_text('S -> [^ab] | "c" "d"\n')
+        argv = ["allowed-chars", "--json", "--grammar", str(p), "--prefix", prefix]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out) == expected
+
     def test_rejected_prefix(self, capsys, grammar_file):
         code, _, _ = run(
             capsys, "allowed-chars", "--grammar", grammar_file, "--prefix", "b"

@@ -1,4 +1,6 @@
+import gc
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,30 @@ class TestReduce:
             assert enumerate_language(r, 6) == lang
             count += 1
         assert count == 60
+
+    def test_cost_grows_linearly_along_a_chain(self):
+        # A0 -> A1, ..., An -> "" listed top-down: a fixpoint that rescans
+        # every production settles one rule per pass, so 8x the rules cost
+        # about 64x, where counting each use down once costs about 8x
+        def chain(n):
+            rules = [Production(f"A{i}", (Symbol.nt(f"A{i + 1}"),)) for i in range(n)]
+            return Grammar("A0", rules + [Production(f"A{n}", (Symbol.t(""),))])
+
+        def best_of_3(g):
+            times = []
+            for _ in range(3):
+                t = time.perf_counter()
+                assert len(reduce(g).productions) == len(nullable_set(g)) == len(g.productions)
+                times.append(time.perf_counter() - t)
+            return min(times)
+
+        short_g, long_g = chain(500), chain(4000)
+        gc.disable()  # one collection inside a timing would swamp it
+        try:
+            short, long = best_of_3(short_g), best_of_3(long_g)
+        finally:
+            gc.enable()
+        assert long < 24 * short, (short, long)
 
 
 class TestNullable:

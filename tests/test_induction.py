@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import time
 
 import pytest
 
@@ -352,6 +354,31 @@ def _replaced(node, path, new):
 
 
 class TestNameCollisions:
+    def test_naming_cost_grows_linearly_with_the_types(self):
+        # each new type's name is tested against those handed out: a scan
+        # of them makes 8x the types cost about 64x, a set about 8x
+        def programs(n):
+            table = SignatureTable()
+            for i in range(n):
+                table.add_signature(f"f{i}", [], f"T{i}")
+            return [type_check(parse_sexp(f"(f{i})"), table) for i in range(n)], table
+
+        def best_of_3(typed, table):
+            times = []
+            for _ in range(3):
+                t = time.perf_counter()
+                induce_lispress_grammar(typed, table, root_type="T0")
+                times.append(time.perf_counter() - t)
+            return min(times)
+
+        short_args, long_args = programs(1000), programs(8000)
+        gc.disable()  # one collection inside a timing would swamp it
+        try:
+            short, long = best_of_3(*short_args), best_of_3(*long_args)
+        finally:
+            gc.enable()
+        assert long < 24 * short, (short, long)
+
     def test_classes_with_one_helper_name(self):
         sigs = _table(
             {"symbol": "f", "args": ["Long", "Hex"], "result": "R"},

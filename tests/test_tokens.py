@@ -23,23 +23,18 @@ from gramdec.tokens import (
     load_vocab_jsonl,
 )
 
-from helpers import CHARS, grammar_alphabet, grammars, make_vocab, random_grammars, random_vocab
+from helpers import (
+    CHARS,
+    grammar_alphabet,
+    grammars,
+    make_vocab,
+    oracle_allowed,
+    random_grammars,
+    random_vocab,
+    viable_prefix_states,
+)
 
 ANBN = reduce(parse_grammar('@start S\nS -> "a" S "b"\nS -> ""'))
-
-
-def oracle_allowed(state, vocab):
-    """Independent mask oracle: trial-advance every token string."""
-    out = set()
-    for tid, text in enumerate(vocab.entries):
-        if tid == vocab.eos_id:
-            if state.is_complete():
-                out.add(tid)
-            continue
-        nxt, _ = state.advance_string(text)
-        if nxt is not None:
-            out.add(tid)
-    return out
 
 
 class TestVocabulary:
@@ -132,12 +127,7 @@ class TestAllowedTokens:
         for g, lang in random_grammars(60, seed=13, max_lang=200):
             vocab = random_vocab(rng)
             trie = build_trie(vocab)
-            words = sorted(w[:k] for w in lang for k in range(min(len(w), 6) + 1))
-            states = {"": init_state(g)}
-            for word in sorted(set(words), key=lambda w: (len(w), w)):
-                if word:
-                    states[word] = states[word[:-1]].advance_char(word[-1])
-                state = states[word]
+            for _, state in viable_prefix_states(g, lang, max_len=6):
                 assert allowed_tokens(state, trie) == oracle_allowed(state, vocab)
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
