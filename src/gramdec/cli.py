@@ -1,8 +1,8 @@
 """Command-line surface: thin adapters from flags and files to the library.
 
-Exit codes: 0 success, 1 usage error, 2 data error. With --json, errors go
-to stderr as {"error": ...}. A JSON config file may supply defaults for any
-flag; explicit flags win.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 a `check` input
+outside the language. With --json, errors go to stderr as {"error": ...}.
+A JSON config file may supply defaults for any flag; explicit flags win.
 """
 
 from __future__ import annotations
@@ -111,19 +111,20 @@ def _ngram_corpus(text: str, vocab_size: int):
     return corpus
 
 
+def _for_example(ex, f, *args):
+    """f(*args) for the dataset example ex; a data error names the example."""
+    try:
+        return f(*args)
+    except GramdecError as exc:
+        raise GramdecError(f"example {ex.id!r}: {exc}") from None
+
+
 def _golds(text: str, parse):
-    """parse(gold) of each example of a dataset file; a data error names
-    the example."""
+    """parse(gold) of each example of a dataset file."""
     dataset = load_dataset_jsonl(text)
     if not dataset:
         raise GramdecError("empty dataset")
-    golds = []
-    for ex in dataset:
-        try:
-            golds.append(parse(ex.gold))
-        except GramdecError as exc:
-            raise GramdecError(f"example {ex.id!r}: {exc}") from None
-    return golds
+    return [_for_example(ex, parse, ex.gold) for ex in dataset]
 
 
 def _prefix_state(args):
@@ -175,7 +176,7 @@ def _cmd_check(args):
     else:
         plain = f"incomplete: viable prefix but not a member (consumed {offset})"
     _emit(args, {"verdict": verdict, "offset": offset}, plain)
-    return 2
+    return 3
 
 
 def _cmd_allowed_chars(args):
@@ -226,22 +227,21 @@ def _cmd_specialize_sql(args):
 
 
 def _cmd_decode(args):
-    vocab = _load(load_vocab_jsonl, args.vocab)
-    grammar = _load(_parse_grammar_file, args.grammar) if args.grammar else None
-    if not args.constrained:
-        grammar = None  # a grammar given to decode constrains it
-    elif grammar is None:
+    if args.unconstrained:
+        if args.grammar is not None:
+            raise UsageError("--grammar and --unconstrained exclude each other")
+    elif args.grammar is None:
         raise UsageError("--grammar is required unless --unconstrained")
+    if (args.url is None) == (args.ngram_corpus is None):
+        raise UsageError("give one scorer: --url or --ngram-corpus")
+    vocab = _load(load_vocab_jsonl, args.vocab)
+    grammar = None if args.unconstrained else _load(_parse_grammar_file, args.grammar)
     cfg = DecodeConfig(beam_size=args.beam, max_tokens=args.max_tokens)
-    if args.scorer == "http":
-        if not args.url:
-            raise UsageError("--url is required for the http scorer")
+    if args.url is not None:
         scorer = HttpScorer(args.url)
     else:
-        if not args.ngram_corpus:
-            raise UsageError("--ngram-corpus is required for the ngram scorer")
         corpus = _load(lambda text: _ngram_corpus(text, vocab.size), args.ngram_corpus)
-        scorer = train_ngram(corpus, args.ngram_order, vocab_size=vocab.size)
+        scorer = train_ngram(corpus, args.ngram_order, vocab.size)
     results = decode(scorer, grammar, vocab, cfg, conditioning=args.input or "")
     payload = [{"text": r.text, "logprob": r.logprob} for r in results]
     out_text = json.dumps(payload, indent=None)
@@ -267,20 +267,18 @@ def _cmd_build_prompt(args):
         raise UsageError("--db-values needs an SQL context mode")
     mode = ContextMode(args.context_mode, with_values=args.db_values)
 
-    def pool_of(text):
+    def examples_of(text):
         dataset = load_dataset_jsonl(text)
-        return dataset, [render_input(ex, mode) for ex in dataset]
+        pool = [render_input(ex, mode) for ex in dataset]
+        scores = bm25_scores(args.target, pool)
+        return [
+            _for_example(ex, PromptExample, uc, ex.gold, score)
+            for ex, uc, score in zip(dataset, pool, scores)
+        ]
 
-    dataset, pool = _load(pool_of, args.dataset)
-    target = args.target
-    scores = bm25_scores(target, pool)
-    examples = [
-        PromptExample(uc=pool[i], p=dataset[i].gold, relevance=scores[i])
-        for i in range(len(dataset))
-    ]
     prompt = build_prompt(
-        examples,
-        target,
+        _load(examples_of, args.dataset),
+        args.target,
         order=args.order,
         budget=args.budget,
         max_examples=args.max_examples,
@@ -373,14 +371,12 @@ def _build_parser():
     common(p)
     p.add_argument("--grammar")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--scorer", choices=["ngram", "http"], default="ngram")
-    p.add_argument("--url", help="scorer endpoint (http scorer)")
-    p.add_argument("--ngram-corpus", help="JSONL of token-id lists (ngram scorer)")
+    p.add_argument("--url", help="scorer endpoint: score with HttpScorer")
+    p.add_argument("--ngram-corpus", help="JSONL of token-id lists: score with an n-gram model")
     p.add_argument("--ngram-order", type=int, choices=range(1, 6), default=2)
     p.add_argument("--beam", type=positive_int, default=5)
     p.add_argument("--max-tokens", type=positive_int, default=128)
-    p.add_argument("--constrained", dest="constrained", action="store_true", default=True)
-    p.add_argument("--unconstrained", dest="constrained", action="store_false")
+    p.add_argument("--unconstrained", action="store_true", help="decode without a grammar")
     p.add_argument("--input", help="conditioning string")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_decode)

@@ -198,7 +198,7 @@ class NgramScorer(Scorer):
         return padded[len(padded) - k :]
 
 
-def train_ngram(corpus, order: int, vocab_size: int | None = None) -> NgramScorer:
+def train_ngram(corpus, order: int, vocab_size: int) -> NgramScorer:
     """Fit an add-one n-gram scorer on token-id sequences (eos included).
 
     Every id must lie in [0, vocab_size); others raise ValueError.
@@ -207,8 +207,6 @@ def train_ngram(corpus, order: int, vocab_size: int | None = None) -> NgramScore
         raise ValueError("order must be in [1, 5]")
     if not corpus:
         raise ValueError("empty training corpus")
-    if vocab_size is None:
-        vocab_size = max(max(seq) for seq in corpus if seq) + 1
     k = order - 1
     counts: dict = {}
     totals: dict = {}

@@ -87,18 +87,19 @@ def _check_literal(atom: str, type_name: str, sigs: SignatureTable):
         raise TypeCheckError(f"ill-typed literal {atom!r} for type {type_name!r}")
 
 
-def type_check(program, sigs: SignatureTable, expected=None):
+def type_check(program, sigs: SignatureTable):
     """Annotate every node of an s-expression program with its type.
 
-    Nodes are checked in preorder from an explicit stack, so deep programs
-    stay off the Python call stack.
+    The root's type is its operator's result, so a bare literal at the
+    root is an error. Nodes are checked in preorder from an explicit
+    stack, so deep programs stay off the Python call stack.
     """
-    if isinstance(program, str) and expected is None:
+    if isinstance(program, str):
         raise TypeCheckError(f"bare literal {program!r} at program root")
-    root = TypedExpression(program, expected, [])
+    root = TypedExpression(program, None, [])
     stack = [root]
     while stack:
-        tx = stack.pop()  # its type is the expected one until checked
+        tx = stack.pop()  # its type is the expected one (None at the root) until checked
         node = tx.node
         if isinstance(node, str):
             _check_literal(node, tx.type, sigs)

@@ -175,19 +175,16 @@ class Prompt:
 
 
 def whitespace_tokens(text: str) -> int:
-    """Default token counter; plug in a real tokenizer's counter when the
-    target model is known."""
+    """The prompt budget's unit: the number of whitespace-separated words."""
     return len(text.split())
 
 
+def _block(ex: PromptExample) -> str:
+    return f"Human: {ex.uc}\nComputer: {ex.p}"
+
+
 def _assemble(examples, target: str) -> str:
-    parts = [HEADER]
-    for ex in examples:
-        parts.append(f"Human: {ex.uc}")
-        parts.append(f"Computer: {ex.p}")
-    parts.append(f"Human: {target}")
-    parts.append("Computer:")
-    return "\n".join(parts)
+    return "\n".join([HEADER, *map(_block, examples), f"Human: {target}", "Computer:"])
 
 
 def build_prompt(
@@ -195,7 +192,6 @@ def build_prompt(
     target: str,
     order: str = ORDER_BEST_LAST,
     budget: int = DEFAULT_BUDGET,
-    counter=whitespace_tokens,
     max_examples: int = DEFAULT_MAX_EXAMPLES,
     seed: int = 0,
 ) -> Prompt:
@@ -205,10 +201,16 @@ def build_prompt(
     exceed the budget or the example cap; the included set is then
     arranged per `order` (best_last puts the most relevant example
     immediately before the target block).
+
+    The budget counts whitespace-separated words, block by block: blocks
+    are joined by newlines, so no word spans two of them, and the header
+    and target block are counted once and each example's block as it is
+    taken.
     """
     if order not in ORDERS:
         raise PromptError(f"unknown ordering {order!r}")
-    if counter(_assemble([], target)) > budget:
+    used = whitespace_tokens(_assemble([], target))
+    if used > budget:
         raise PromptError("budget too small for the header and target block")
 
     ranked = sorted(
@@ -218,10 +220,10 @@ def build_prompt(
     for i in ranked:
         if len(included) >= max_examples:
             break
-        trial = included + [examples[i]]
-        if counter(_assemble(trial, target)) > budget:
+        used += whitespace_tokens(_block(examples[i]))
+        if used > budget:
             break
-        included = trial
+        included.append(examples[i])
 
     if order == ORDER_BEST_FIRST:
         arranged = included

@@ -1,4 +1,5 @@
-"""Shared test utilities: random grammar generation and independent oracles.
+"""Shared test utilities: random grammar generation, independent oracles
+and a local scorer server.
 
 The oracles here deliberately avoid the code paths they check: language
 enumeration has a second breadth-first implementation, viable prefixes are
@@ -6,8 +7,13 @@ enumerated from a prefix grammar, and token masks are recomputed by
 per-token trial advancement.
 """
 
+import json
+import math
 import random
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
+import pytest
 from hypothesis import strategies as st
 
 from gramdec.earley import init_state
@@ -328,3 +334,54 @@ def grammars(draw):
         for r in draw(st.lists(rhs, min_size=1, max_size=3, unique=True))
     ]
     return Grammar(draw(st.sampled_from(names)), productions)
+
+
+# 200 bodies that are not a JSON object whose "scores" is a list of numbers
+BAD_BODIES = {
+    "garbage": b"not json",
+    "list": b"[1, 2, 3]",
+    "scores-int": b'{"scores": 5}',
+    "scores-str": b'{"scores": ["x", "y", "z"]}',
+    "scores-null": b'{"scores": [0.0, null, 0.0]}',
+}
+
+
+class ScorerHandler(BaseHTTPRequestHandler):
+    """A scorer service over a 3-token vocabulary, answering as `behavior`
+    says: "ok", "error" (HTTP 500) or one of BAD_BODIES."""
+
+    behavior = "ok"
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.behavior == "error":
+            self.send_response(500)
+            self.end_headers()
+            return
+        if self.behavior in BAD_BODIES:
+            payload = BAD_BODIES[self.behavior]
+        else:
+            n = 3
+            scores = [math.log(1 / n)] * n
+            # echo length of prefix into the first score for testability
+            scores[0] += 0.001 * len(body["prefix"])
+            payload = json.dumps({"scores": scores}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def scorer_server():
+    """The URL of a ScorerHandler on a local port, answering "ok" until a
+    test sets ScorerHandler.behavior."""
+    ScorerHandler.behavior = "ok"
+    server = HTTPServer(("127.0.0.1", 0), ScorerHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}/"
+    server.shutdown()

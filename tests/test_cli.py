@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,8 @@ from gramdec.splits import MetricReport, load_dataset_jsonl, load_predictions_js
 from gramdec.sql import load_schema_json
 from gramdec.tokens import load_vocab_jsonl
 
-from helpers import grammar_texts
+from helpers import ScorerHandler, grammar_texts
+from helpers import scorer_server  # noqa: F401  (a fixture)
 
 ANBN = '@start S\nS -> "a" S "b"\nS -> ""\n'
 
@@ -65,14 +67,14 @@ class TestCheck:
         code, out, _ = run(
             capsys, "check", "--json", "--grammar", grammar_file, "--input", "abb"
         )
-        assert code == 2
+        assert code == 3
         assert json.loads(out) == {"verdict": "rejected", "offset": 2}
 
     def test_incomplete(self, capsys, grammar_file):
         code, out, _ = run(
             capsys, "check", "--json", "--grammar", grammar_file, "--input", "aab"
         )
-        assert code == 2 and json.loads(out)["verdict"] == "incomplete"
+        assert code == 3 and json.loads(out)["verdict"] == "incomplete"
 
     def test_missing_grammar_file(self, capsys):
         code, _, err = run(capsys, "check", "--grammar", "/nope.cfg", "--input", "x")
@@ -294,7 +296,20 @@ class TestSpecializeSql:
             "--input",
             "SELECT salary FROM head",
         )
-        assert code == 2 and json.loads(out)["offset"] == 8
+        assert code == 3 and json.loads(out)["offset"] == 8
+
+    def test_custom_base_grammar(self, capsys, tmp_path):
+        base = tmp_path / "base.cfg"
+        base.write_text('q -> "GET " COLUMN_NAME " OF " TABLE_NAME\nTABLE_NAME -> "t"\nCOLUMN_NAME -> "c"\n')
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"tables": [{"name": "head", "columns": [{"name": "age"}]}]}))
+        out_path = tmp_path / "get.cfg"
+        argv = ["specialize-sql", "--grammar", str(base), "--schema", str(schema), "--out", str(out_path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        for text, want in [("GET head.age OF head", 0), ("GET c OF t", 3), ("SELECT age FROM head", 3)]:
+            code, _, _ = run(capsys, "check", "--grammar", str(out_path), "--input", text)
+            assert code == want, text
 
 
 class TestDecode:
@@ -321,18 +336,30 @@ class TestDecode:
             set(r["text"]) <= {"a", "b"} for r in results
         )
 
-    def test_http_needs_url(self, capsys, grammar_file, vocab_file):
-        code, _, _ = run(
-            capsys,
-            "decode",
-            "--grammar",
-            grammar_file,
-            "--vocab",
-            vocab_file,
-            "--scorer",
-            "http",
-        )
-        assert code == 1
+    def test_needs_one_scorer(self, capsys, tmp_path, grammar_file, vocab_file):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("[0, 1, 3]\n")
+        argv = ["decode", "--grammar", grammar_file, "--vocab", vocab_file]
+        both = ["--url", "http://127.0.0.1:9/", "--ngram-corpus", str(corpus)]
+        for scorer in ([], both):  # neither, or both
+            code, _, err = run(capsys, *argv, *scorer)
+            assert code == 1 and "--url or --ngram-corpus" in err
+
+    def test_url(self, capsys, tmp_path, grammar_file, scorer_server):
+        # the server scores a 3-token vocabulary, a little higher for "a"
+        # the longer the prefix
+        vocab = tmp_path / "v.jsonl"
+        vocab.write_text('{"eos": 2}\n{"id": 0, "text": "a"}\n{"id": 1, "text": "b"}\n{"id": 2, "text": ""}\n')
+        argv = ["decode", "--grammar", grammar_file, "--vocab", str(vocab), "--url", scorer_server]
+        code, out, err = run(capsys, *argv, "--beam", "4", "--max-tokens", "4")
+        assert code == 0, err
+        results = json.loads(out)
+        # "aabb" and its eos take 5 tokens
+        assert [r["text"] for r in results] == ["", "ab"]
+        assert [r["logprob"] for r in results] == pytest.approx([math.log(1 / 3), 3 * math.log(1 / 3)])
+        ScorerHandler.behavior = "error"
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "HTTP 500" in err
 
     def test_config_defaults(self, capsys, tmp_path, grammar_file, vocab_file):
         corpus = tmp_path / "c.jsonl"
@@ -361,9 +388,12 @@ class TestDecode:
         code, out, _ = run(capsys, *argv, "--unconstrained")
         assert code == 0 and [r["text"] for r in json.loads(out)] == ["ba"]
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"constrained": False}))
+        cfg.write_text(json.dumps({"unconstrained": True}))
         code, from_config, _ = run(capsys, *argv, "--config", str(cfg))
         assert code == 0 and from_config == out
+        # a grammar that would be dropped is an error
+        code, _, err = run(capsys, *argv, "--unconstrained", "--grammar", "/nope.cfg")
+        assert code == 1 and "exclude each other" in err
 
 
 class TestConfig:
@@ -391,7 +421,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "command,config",
-        [("decode", {"constrained": "false"}), ("allowed-tokens", {"dense": 1})],
+        [("decode", {"unconstrained": "false"}), ("allowed-tokens", {"dense": 1})],
     )
     def test_flag_without_value_takes_a_boolean(
         self, capsys, tmp_path, grammar_file, vocab_file, command, config
@@ -402,6 +432,13 @@ class TestConfig:
         code, _, err = run(capsys, *argv)
         (key,) = config
         assert code == 1 and key in err
+
+    def test_value_outside_the_choices(self, capsys, tmp_path):
+        ds = write_dataset(tmp_path, n_train=3, n_dev=1, n_test=1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"order": "sideways"}))
+        code, _, err = run(capsys, "build-prompt", "--dataset", ds, "--target", "t", "--config", str(cfg))
+        assert code == 1 and "'sideways'" in err and "order" in err
 
 
 @pytest.mark.parametrize("text", ["not json", "[1]"], ids=["not-json", "not-object"])
@@ -437,6 +474,7 @@ BAD_FILES = {
     "sigs_ok": json.dumps({"symbol": "now", "args": [], "result": "Datetime"}),
     "schema_no_columns": json.dumps({"tables": [{"name": "t", "columns": []}]}),
     "predictions_unknown_id": json.dumps({"id": "zz", "prediction": "(now)"}),
+    "dataset_empty_utterance": json.dumps({"id": "ex-9", "utterance": "", "gold": "g"}),
 }
 
 
@@ -530,6 +568,11 @@ BAD_FILES = {
             id="dataset-no-schema",
         ),
         pytest.param(["make-splits", "--dataset", "{dataset_repeated_id}"], 2, id="dataset-repeated-id"),
+        pytest.param(
+            ["build-prompt", "--dataset", "{dataset_empty_utterance}", "--target", "x"],
+            2,
+            id="dataset-empty-utterance",
+        ),
     ],
 )
 def test_bad_input_is_a_typed_error(capsys, tmp_path, grammar_file, vocab_file, argv, code):
@@ -549,7 +592,7 @@ def test_bad_input_is_a_typed_error(capsys, tmp_path, grammar_file, vocab_file, 
     assert got == code and err.startswith("error: ")
     if code == 2:
         assert str(paths[argv[2].strip("{}")]) in err
-    if argv[2] in ("{dataset_gold_nope}", "{dataset_gold_unbalanced}"):
+    if argv[2] in ("{dataset_gold_nope}", "{dataset_gold_unbalanced}", "{dataset_empty_utterance}"):
         assert "example 'ex-" in err
 
 
@@ -745,18 +788,17 @@ class TestEvaluate:
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(text=grammar_texts(), word=st.text('ab"[', max_size=4))
-def test_hostile_grammar_file_exits_0_or_2(tmp_path_factory, text, word):
+def test_hostile_grammar_file_exits_0_2_or_3(tmp_path_factory, text, word):
     path = tmp_path_factory.getbasetemp() / "hostile.cfg"
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["check", "--grammar", str(path), "--input", word])
-    assert code in (0, 2)
-    if err.getvalue():  # a data error, not a verdict
-        assert code == 2
-        assert err.getvalue().startswith(f"error: {path}: ")
+    if code == 2:  # a data error, not a verdict
+        assert not out.getvalue() and err.getvalue().startswith(f"error: {path}: ")
     else:
-        assert out.getvalue().startswith("accepted" if code == 0 else ("rejected", "incomplete"))
+        assert not err.getvalue()
+        assert out.getvalue().startswith({0: "accepted", 3: ("rejected", "incomplete")}[code])
 
 
 def test_files_are_read_as_written(capsys, tmp_path):
@@ -794,15 +836,25 @@ FIXED_FILES = {
     "sc": json.dumps({"tables": [{"name": "t", "columns": [{"name": "c"}]}]}),
     "r": json.dumps({"metric": "exact", "accuracy": 0.5, "n": 2, "correct": [["a", True], ["b", False]]}),
 }
-DECODE = ["decode", "--grammar", "{g}", "--vocab", "{v}", "--ngram-corpus", "{c}"]
-DECODE += ["--scorer", "ngram", "--max-tokens", "6", "--out", "{o}"]
+DECODE_FLAGS = {
+    "--grammar": "{g}", "--vocab": "{v}", "--ngram-corpus": "{c}", "--max-tokens": "6", "--out": "{o}"
+}
+
+
+def decode_argv(**values):
+    """decode's command line over the fixed files; a keyword replaces the
+    value of its flag (dashes as underscores)."""
+    flags = {**DECODE_FLAGS, **{"--" + k.replace("_", "-"): v for k, v in values.items()}}
+    return ["decode", *[a for flag in flags.items() for a in flag]]
+
+
 # Per file flag: the commands that read the drawn file "{f}", each path
 # flag given, the keys of the file's records, and the library reader of the
 # file (None where every data error of those commands comes from it).
 HOSTILE_FILES = {
     "vocab": (
         [["allowed-tokens", "--grammar", "{g}", "--vocab", "{f}", "--prefix", "a"],
-         ["decode", *DECODE[1:3], "--vocab", "{f}", *DECODE[5:], "--beam", "4"]],
+         [*decode_argv(vocab="{f}"), "--beam", "4"]],
         ["eos", "id", "text"],
         load_vocab_jsonl,
     ),
@@ -836,7 +888,7 @@ HOSTILE_FILES = {
         MetricReport.from_json,
     ),
     "ngram-corpus": (
-        [[*DECODE[:5], "{f}", *DECODE[7:], "--beam", "4"]],
+        [[*decode_argv(ngram_corpus="{f}"), "--beam", "4"]],
         [],
         None,
     ),
@@ -844,7 +896,7 @@ HOSTILE_FILES = {
 # Per command: the keys a drawn --config may set, neither paths nor the
 # scorer's (a scorer may reach the network), and the command's own flags.
 CONFIG_COMMANDS = {
-    "decode": (["beam", "ngram_order", "max_tokens", "constrained", "input"], DECODE),
+    "decode": (["beam", "ngram_order", "max_tokens", "unconstrained", "input"], decode_argv()),
     "evaluate": (["metric"], ["evaluate", "--predictions", "{p}", "--dataset", "{d}", "--out", "{o}"]),
     "build-prompt": (
         ["target", "context_mode", "db_values", "order", "budget", "max_examples", "seed"],
@@ -937,6 +989,7 @@ def test_hostile_input_file_exits_0_1_or_2(tmp_path_factory, flag, data):
         runs = [(data.draw(st.sampled_from(commands)), data.draw(hostile_file(keys)))]
     for argv, drawn in runs:
         code, err, path = run_on_files(tmp_path_factory.mktemp(flag), argv, drawn)
+        assert code != 1, err  # every flag is given: no file's contents make a usage error
         check_exit(code, err, path, reader, drawn)
 
 
@@ -961,4 +1014,7 @@ def test_hostile_config_exits_0_1_or_2(tmp_path_factory, command, data):
         )
     )
     code, err, path = run_on_files(tmp_path_factory.mktemp("config"), [*argv, "--config", "{f}"], drawn)
+    if command == "check" and code == 3:  # the drawn input is not a member
+        assert not err
+        return
     check_exit(code, err, path, _config_object, drawn)

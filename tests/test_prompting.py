@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -242,10 +244,43 @@ class TestBuildPrompt:
             f"{HEADER}\nHuman: t\nComputer:") + 4)
         assert prompt.n_examples == 0
 
+    def test_budget_counts_each_block_once(self):
+        # blocks join with newlines, so the prompt's words are its blocks' words
+        ex = pe(" a\tb \n", "\n(x  y)\n")  # "Human:", "a", "b", "Computer:", "(x", "y)"
+        floor = whitespace_tokens(f"{HEADER}\nHuman: t\nComputer:")
+        full = build_prompt([ex], "t", budget=floor + 6)
+        assert full.n_examples == 1 and whitespace_tokens(full.text) == floor + 6
+        assert build_prompt([ex], "t", budget=floor + 5).n_examples == 0
+
+    def test_cost_grows_linearly_with_the_examples(self):
+        # counting the whole prompt again for each example tried makes 8x
+        # the examples cost about 64x, counting each block once about 8x
+        def examples(n):
+            rng = random.Random(0)
+            return [pe(f"utt {i} word", f"(plan {i})", rng.random()) for i in range(n)]
+
+        def best_of_3(exs):
+            times = []
+            for _ in range(3):
+                t = time.perf_counter()
+                prompt = build_prompt(exs, "t", budget=10**9, max_examples=len(exs))
+                times.append(time.perf_counter() - t)
+                assert prompt.n_examples == len(exs)
+            return min(times)
+
+        short_exs, long_exs = examples(500), examples(4000)
+        gc.disable()  # one collection inside a timing would swamp it
+        try:
+            short, long = best_of_3(short_exs), best_of_3(long_exs)
+        finally:
+            gc.enable()
+        assert long < 24 * short, (short, long)
+
     def test_max_examples_cap(self):
         exs = [pe(f"u{i}", rel=1.0 - i * 0.01) for i in range(40)]
         prompt = build_prompt(exs, "t", budget=10**6, max_examples=20)
         assert prompt.n_examples == 20
+        assert build_prompt(exs, "t", budget=10**6, max_examples=-1).n_examples == 0
 
     def test_random_order_deterministic_per_seed(self):
         exs = [pe(f"u{i}", rel=float(i)) for i in range(10)]

@@ -97,6 +97,21 @@ class TestMakeSplits:
         # too small for disjoint thirds as well: falls back to resampling
         assert len(s.low_train) == 3
 
+    def test_low_train_from_a_small_pool(self):
+        # 500 <= train < 1,500: each low set is sampled from the whole pool
+        data = synth_dataset(n_train=800, n_dev=100, n_test=200)
+        by_id = {ex.id: ex for ex in data}
+        s = make_splits(data, seed=3)
+        for ids in s.low_train:
+            chosen = set(ids)
+            assert len(chosen) == len(ids) >= 500 and chosen <= set(s.high_train)
+            dialogues = {by_id[i].dialogue_id for i in ids}
+            assert chosen == {ex.id for ex in data if ex.dialogue_id in dialogues}
+        a, b, c = (set(ids) for ids in s.low_train)
+        assert a & b and a & c and b & c  # too few examples for disjoint sets
+        assert make_splits(data, seed=3).low_train == s.low_train
+        assert make_splits(data, seed=4).low_train != s.low_train
+
     def test_no_public_test(self):
         data = synth_dataset(n_train=3000, n_dev=600, n_test=0)
         s = make_splits(data, seed=1)
