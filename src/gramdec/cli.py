@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 a `check` input
 outside the language. With --json, errors go to stderr as {"error": ...}.
-A JSON config file may supply defaults for any flag; explicit flags win.
+A --config file holds a JSON object of flag values, keyed by flag name
+without its dashes, for any flag of the command, required ones too. It is
+read as those flags placed before the explicit ones, so explicit flags win.
 """
 
 from __future__ import annotations
@@ -47,7 +49,12 @@ from .splits import (
     load_predictions_jsonl,
     make_splits,
 )
-from .sql import load_base_sql_grammar, load_schema_json, specialize_sql_grammar
+from .sql import (
+    check_base_grammar,
+    load_base_sql_grammar,
+    load_schema_json,
+    specialize_sql_grammar,
+)
 from .tokens import allowed_tokens, build_trie, dense_mask, load_vocab_jsonl
 
 
@@ -219,7 +226,7 @@ def _cmd_induce_grammar(args):
 
 def _cmd_specialize_sql(args):
     if args.grammar:
-        base = _load(parse_grammar, args.grammar)
+        base = _load(lambda text: check_base_grammar(parse_grammar(text)), args.grammar)
     else:
         base = load_base_sql_grammar()
     grammar = _load(lambda text: specialize_sql_grammar(base, load_schema_json(text)), args.schema)
@@ -327,48 +334,40 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--config", help="JSON file with default flag values")
+    common = _common_flags()
 
-    p = sub.add_parser("check", help="test string membership in a grammar")
-    common(p)
+    def command(name, func, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("check", _cmd_check, "test string membership in a grammar")
     p.add_argument("--grammar", required=True)
     p.add_argument("--input", required=True)
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("allowed-chars", help="legal next characters for a prefix")
-    common(p)
+    p = command("allowed-chars", _cmd_allowed_chars, "legal next characters for a prefix")
     p.add_argument("--grammar", required=True)
     p.add_argument("--prefix", default="")
-    p.set_defaults(func=_cmd_allowed_chars)
 
-    p = sub.add_parser("allowed-tokens", help="legal next token ids for a prefix")
-    common(p)
+    p = command("allowed-tokens", _cmd_allowed_tokens, "legal next token ids for a prefix")
     p.add_argument("--grammar", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--prefix", default="")
     p.add_argument("--dense", action="store_true", help="also emit a dense mask")
-    p.set_defaults(func=_cmd_allowed_tokens)
 
-    p = sub.add_parser("induce-grammar", help="induce a CFG from training data")
-    common(p)
+    p = command("induce-grammar", _cmd_induce_grammar, "induce a CFG from training data")
     p.add_argument("--dataset", required=True)
     p.add_argument("--format", choices=["lispress", "mtop"], required=True)
     p.add_argument("--signatures", help="signature JSONL (lispress only)")
     p.add_argument("--root-type", help="override the root type (lispress only)")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_induce_grammar)
 
-    p = sub.add_parser("specialize-sql", help="apply schema constraints to SQL grammar")
-    common(p)
+    p = command("specialize-sql", _cmd_specialize_sql, "apply schema constraints to SQL grammar")
     p.add_argument("--grammar", help="base grammar (default: shipped SQL subset)")
     p.add_argument("--schema", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_specialize_sql)
 
-    p = sub.add_parser("decode", help="constrained beam search")
-    common(p)
+    p = command("decode", _cmd_decode, "constrained beam search")
     p.add_argument("--grammar")
     p.add_argument("--vocab", required=True)
     p.add_argument("--url", help="scorer endpoint: score with HttpScorer")
@@ -379,17 +378,13 @@ def _build_parser():
     p.add_argument("--unconstrained", action="store_true", help="decode without a grammar")
     p.add_argument("--input", help="conditioning string")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("make-splits", help="emit the benchmark split manifest")
-    common(p)
+    p = command("make-splits", _cmd_make_splits, "emit the benchmark split manifest")
     p.add_argument("--dataset", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_make_splits)
 
-    p = sub.add_parser("build-prompt", help="BM25 retrieval + few-shot prompt")
-    common(p)
+    p = command("build-prompt", _cmd_build_prompt, "BM25 retrieval + few-shot prompt")
     p.add_argument("--dataset", required=True, help="training pool JSONL")
     p.add_argument("--target", required=True, help="rendered target input")
     p.add_argument("--context-mode", choices=DIALOGUE_MODES + SQL_MODES, default="none")
@@ -398,10 +393,8 @@ def _build_parser():
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--max-examples", type=int, default=DEFAULT_MAX_EXAMPLES)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_build_prompt)
 
-    p = sub.add_parser("evaluate", help="score predictions against gold")
-    common(p)
+    p = command("evaluate", _cmd_evaluate, "score predictions against gold")
     p.add_argument("--predictions")
     p.add_argument("--dataset")
     p.add_argument("--metric", default="exact")
@@ -412,68 +405,65 @@ def _build_parser():
         help="three report JSON files to aggregate instead",
     )
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_evaluate)
 
     return parser, sub.choices
 
 
-def _config_object(text: str) -> dict:
-    """The flag defaults of a --config file: one JSON object."""
+def _common_flags():
+    """The flags that every subcommand takes."""
+    p = _Parser(add_help=False)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.add_argument("--config", help="JSON file of flag values; explicit flags win")
+    return p
+
+
+def _config_argv(command, text: str) -> list:
+    """The command-line words that a --config file's JSON object stands
+    for: a JSON boolean for a flag that takes no value, a string or number
+    for a flag that takes one, and a list for a flag that takes several.
+    Keys that name no flag of command are ignored, and so are config and
+    help."""
     data = json_value(text, GramdecError, "bad config JSON")
     if not isinstance(data, dict):
         raise GramdecError("config file must hold a JSON object")
-    return data
-
-
-def _config_value(action, key, value):
-    """A config value as the command line would give it to the flag: a JSON
-    boolean for a flag that takes no value, else a string for each value
-    the flag takes, from a JSON string or number."""
-    if action.nargs == 0:
-        if type(value) is not bool:
-            raise UsageError(f"config: {key} takes true or false, not {value!r}")
-        return value
-    n = action.nargs or 1
-    items = value if action.nargs else [value]
-    if not (
-        isinstance(items, list)
-        and len(items) == n
-        and all(type(v) in (str, int, float) for v in items)
-    ):
-        what = f"a list of {n} strings" if action.nargs else "a string or a number"
-        raise UsageError(f"config: {key} takes {what}, not {value!r}")
-    items = [str(v) for v in items]
-    return items if action.nargs else items[0]
-
-
-def _with_config(parser, command, argv, path):
-    """Parse argv again over the flag defaults in the JSON config at path,
-    so explicit flags win. argparse runs a string default through its
-    flag's type, so a config value goes through the flag's type and choices
-    as a flag value does."""
-    data = _load(_config_object, path)
-    actions = {a.dest: a for a in command._actions}
-    defaults = {}
+    actions = {a.dest: a for a in command._actions if a.dest not in ("config", "help")}
+    argv = []
     for key, value in data.items():
         action = actions.get(key.replace("-", "_"))
-        if action is not None:
-            defaults[action.dest] = _config_value(action, key, value)
-    command.set_defaults(**defaults)
-    args = parser.parse_args(argv)
-    for dest in defaults:
-        value, choices = getattr(args, dest), actions[dest].choices
-        if choices is not None and value not in choices:
-            raise UsageError(f"config: invalid choice {value!r} for {dest}")
-    return args
+        if action is None:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if type(value) is not bool:
+                raise UsageError(f"config: {key} takes true or false, not {value!r}")
+            if value:
+                argv.append(flag)
+        elif action.nargs is None:
+            if type(value) not in (str, int, float):
+                raise UsageError(f"config: {key} takes a string or a number, not {value!r}")
+            argv.append(f"{flag}={value}")  # so a value that starts with "-" stays a value
+        else:
+            n = action.nargs
+            if not (
+                isinstance(value, list)
+                and len(value) == n
+                and all(type(v) in (str, int, float) for v in value)
+            ):
+                raise UsageError(f"config: {key} takes a list of {n} strings, not {value!r}")
+            argv += [flag, *map(str, value)]
+    return argv
 
 
 def main(argv=None) -> int:
     parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = None
     try:
+        # the common flags alone, so that a required flag may come from the config
+        args, _ = _common_flags().parse_known_args(argv[1:])
+        if args.config and argv[0] in commands:
+            argv[1:1] = _load(lambda text: _config_argv(commands[argv[0]], text), args.config)
         args = parser.parse_args(argv)
-        if args.config:
-            args = _with_config(parser, commands[args.command], argv, args.config)
         return args.func(args)
     except UsageError as exc:
         _fail(args, str(exc))
@@ -484,7 +474,7 @@ def main(argv=None) -> int:
 
 
 def _fail(args, message: str):
-    if args is not None and getattr(args, "json", False):
+    if args is not None and args.json:
         print(json.dumps({"error": message}), file=sys.stderr)
     else:
         print(f"error: {message}", file=sys.stderr)

@@ -233,17 +233,14 @@ def parse_grammar(text: str) -> Grammar:
     """
     productions = []
     start = None
-    start_directive_seen = False
-    first_lhs = None
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("@start"):
-            if start_directive_seen:
+        parts = line.split()
+        if parts[0] == "@start":
+            if start is not None:
                 raise GrammarSyntaxError("duplicate @start directive", lineno, 1)
-            start_directive_seen = True
-            parts = line.split()
             if len(parts) != 2:
                 raise GrammarSyntaxError("@start takes exactly one name", lineno, 1)
             start = parts[1]
@@ -254,17 +251,13 @@ def parse_grammar(text: str) -> Grammar:
         lhs = lhs_text.strip()
         if not _NAME.fullmatch(lhs):
             raise GrammarSyntaxError(f"bad nonterminal name {lhs!r}", lineno, 1)
-        if first_lhs is None:
-            first_lhs = lhs
         col_base = raw.index("->") + 2
         for items in _parse_rhs_items(lineno, col_base, rhs_text):
             # "" alone is epsilon; elsewhere empty literals are rejected later
             productions.append(Production(lhs, tuple(items)))
     if not productions:
         raise GrammarSyntaxError("no rules in grammar", 1, 1)
-    if start is None:
-        start = first_lhs
-    return Grammar(start, productions)
+    return Grammar(productions[0].lhs if start is None else start, productions)
 
 
 def _serialize_symbol(sym: Symbol) -> str:

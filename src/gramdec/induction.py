@@ -73,7 +73,7 @@ def _strings(*values) -> bool:
 
 @dataclass
 class TypedExpression:
-    node: object  # SexpNode
+    node: object  # a parse_sexp tree: an atom (str) or a list of trees
     type: str
     children: list
 

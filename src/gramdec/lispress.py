@@ -8,50 +8,34 @@ Equality is structural only: no symbol aliasing, no literal normalization.
 
 from __future__ import annotations
 
+import re
+
 from .errors import SexpError
 
-# A SexpNode is either an atom (str) or a list of SexpNodes.
-SexpNode = "str | list"
-
-_DELIMS = set('() \t\n\r"')
+# One token after any blanks: a parenthesis or bare symbol, or a quoted
+# string whose body runs to its closing quote or to the end of the text and
+# may end in a lone backslash. Blanks that end the text match with no token,
+# so every match starts where the last one ended.
+_TOKEN = re.compile(r'[ \t\n\r]*(?:([()]|[^ \t\n\r()"]+)|"((?:[^"\\]|\\.?)*)("?)|\Z)', re.S)
+_ESCAPE = re.compile(r"\\(.?)", re.S)
 
 
 def _tokenize(text: str):
+    """The tokens of text; a bad escape is reported before a missing
+    closing quote."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\n\r":
-            i += 1
-        elif c in "()":
-            tokens.append(c)
-            i += 1
-        elif c == '"':
-            j = i + 1
-            buf = ['"']
-            while True:
-                if j >= n:
-                    raise SexpError(f"unterminated string starting at offset {i}")
-                ch = text[j]
-                if ch == "\\":
-                    if j + 1 >= n or text[j + 1] not in '"\\':
-                        raise SexpError(f"bad escape at offset {j}")
-                    buf.append(text[j : j + 2])
-                    j += 2
-                    continue
-                buf.append(ch)
-                j += 1
-                if ch == '"':
-                    break
-            tokens.append("".join(buf))
-            i = j
-        else:
-            j = i
-            while j < n and text[j] not in _DELIMS:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+    for m in _TOKEN.finditer(text):
+        bare, body, end = m.groups()
+        if bare:
+            tokens.append(bare)
+        elif body is not None:
+            if "\\" in body:
+                for e in _ESCAPE.finditer(text, m.start(2), m.end(2)):
+                    if e[1] not in ('"', "\\"):  # a lone trailing backslash has ""
+                        raise SexpError(f"bad escape at offset {e.start()}")
+            if not end:
+                raise SexpError(f"unterminated string starting at offset {m.start(2) - 1}")
+            tokens.append(f'"{body}"')
     return tokens
 
 

@@ -91,14 +91,20 @@ def load_base_sql_grammar() -> Grammar:
     return parse_grammar(text)
 
 
-def specialize_sql_grammar(base: Grammar, schema: DbSchema) -> Grammar:
-    """Replace the name placeholders with the schema's identifiers; reduced."""
+def check_base_grammar(base: Grammar) -> Grammar:
+    """base, which must define the name placeholders to be specialized."""
     nts = {p.lhs for p in base.productions}
     for required in (TABLE_NT, COLUMN_NT):
         if required not in nts:
             raise SchemaError(
                 f"base grammar lacks designated nonterminal {required}"
             )
+    return base
+
+
+def specialize_sql_grammar(base: Grammar, schema: DbSchema) -> Grammar:
+    """Replace the name placeholders with the schema's identifiers; reduced."""
+    check_base_grammar(base)
     if not schema.tables or all(not t.columns for t in schema.tables):
         raise EmptyLanguageError("schema has no tables/columns to specialize with")
 

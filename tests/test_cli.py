@@ -311,6 +311,14 @@ class TestSpecializeSql:
             code, _, _ = run(capsys, "check", "--grammar", str(out_path), "--input", text)
             assert code == want, text
 
+    def test_base_grammar_error_names_the_base_file(self, capsys, tmp_path):
+        base = tmp_path / "base.cfg"
+        base.write_text('q -> "GET " COLUMN_NAME\nCOLUMN_NAME -> "c"\n')  # no TABLE_NAME
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"tables": [{"name": "head", "columns": [{"name": "age"}]}]}))
+        code, _, err = run(capsys, "specialize-sql", "--grammar", str(base), "--schema", str(schema))
+        assert code == 2 and err.startswith(f"error: {base}: ") and "TABLE_NAME" in err
+
 
 class TestDecode:
     def test_ngram(self, capsys, tmp_path, grammar_file, vocab_file):
@@ -439,6 +447,26 @@ class TestConfig:
         cfg.write_text(json.dumps({"order": "sideways"}))
         code, _, err = run(capsys, "build-prompt", "--dataset", ds, "--target", "t", "--config", str(cfg))
         assert code == 1 and "'sideways'" in err and "order" in err
+
+    def test_config_supplies_required_flags(self, capsys, tmp_path, grammar_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grammar": grammar_file, "input": "ab"}))
+        code, out, err = run(capsys, "check", "--config", str(cfg))
+        assert code == 0 and out.strip() == "accepted", err
+        code, _, _ = run(capsys, "check", "--input", "ba", "--config", str(cfg))
+        assert code == 3  # the explicit flag wins
+
+    def test_unreadable_config_with_json(self, capsys, tmp_path, grammar_file):
+        missing = tmp_path / "missing.json"
+        argv = ["check", "--grammar", grammar_file, "--input", "ab", "--json", "--config", str(missing)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and str(missing) in json.loads(err)["error"]
+
+    def test_help_key_is_ignored(self, capsys, tmp_path, grammar_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"help": True}))
+        code, out, _ = run(capsys, "check", "--grammar", grammar_file, "--input", "ab", "--config", str(cfg))
+        assert code == 0 and out.strip() == "accepted"
 
 
 @pytest.mark.parametrize("text", ["not json", "[1]"], ids=["not-json", "not-object"])

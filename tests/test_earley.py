@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings
 
-from gramdec import earley
 from gramdec.decoder import DecodeConfig, decode, train_ngram
 from gramdec.earley import CharMask, check_string, init_state
 from gramdec.engine import kernel
@@ -90,13 +89,13 @@ class TestInit:
 class TestCompileCache:
     def test_one_compile_per_distinct_grammar(self, monkeypatch):
         compiled = []
+        compile_tables = kernel.compile_tables
 
-        class Counting(earley.CompiledGrammar):
-            def __init__(self, grammar):
-                compiled.append(grammar)
-                super().__init__(grammar)
+        def counting(grammar):
+            compiled.append(grammar)
+            return compile_tables(grammar)
 
-        monkeypatch.setattr(earley, "CompiledGrammar", Counting)
+        monkeypatch.setattr(kernel, "compile_tables", counting)
         text = 'S -> "q" S "r" | "qr"'  # built by no other test: the cache is process-wide
         g = parse_grammar(text)
         vocab = Vocabulary(["q", "r", "qr", ""], eos_id=3)

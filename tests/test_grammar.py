@@ -75,6 +75,7 @@ class TestParse:
             ('1x -> "a"', "bad nonterminal name '1x'", 1, 1),
             ('@start S\n@start S\nS -> "a"', "duplicate @start directive", 2, 1),
             ('@start S T\nS -> "a"', "@start takes exactly one name", 1, 1),
+            ('@startfoo S\nS -> "a"', "expected 'Name -> ...' rule", 1, 1),  # a word, not a prefix
             ('S "a"', "expected 'Name -> ...' rule", 1, 1),
             ("# only a comment", "no rules in grammar", 1, 1),
             # columns count from the raw line, leading blanks included

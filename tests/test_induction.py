@@ -6,8 +6,8 @@ import time
 import pytest
 
 from gramdec.earley import check_string
+from gramdec.engine import kernel
 from gramdec.errors import InductionError, MtopParseError, TypeCheckError
-from gramdec import earley
 from gramdec.grammar import enumerate_language, serialize_grammar
 from gramdec.induction import (
     MtopTree,
@@ -104,13 +104,13 @@ class TestTypeCheck:
 
     def test_literal_grammars_compile_once_per_table(self, monkeypatch):
         compiled = []
+        compile_tables = kernel.compile_tables
 
-        class Counting(earley.CompiledGrammar):
-            def __init__(self, grammar):
-                compiled.append(grammar.start)
-                super().__init__(grammar)
+        def counting(grammar):
+            compiled.append(grammar.start)
+            return compile_tables(grammar)
 
-        monkeypatch.setattr(earley, "CompiledGrammar", Counting)
+        monkeypatch.setattr(kernel, "compile_tables", counting)
         # snippets that no other test builds, since the compile cache is
         # shared by the whole process
         sigs_text = SIGS_JSONL.replace("DIGITS", "NUMERAL").replace("CHARS", "RUN")

@@ -25,6 +25,7 @@ class TestParse:
 
     def test_string_escapes(self):
         assert parse_sexp('"say \\"hi\\" \\\\"') == '"say \\"hi\\" \\\\"'
+        assert parse_sexp('(x "a\\\\" "\\"")') == ["x", '"a\\\\"', '"\\""']
 
     def test_plan(self):
         tree = parse_sexp(PLAN)
@@ -48,6 +49,24 @@ class TestParse:
     def test_unterminated_string(self):
         with pytest.raises(SexpError):
             parse_sexp('(a "b)')
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('(a "b)', "unterminated string starting at offset 3"),
+            ('(a "b\\q")', "bad escape at offset 5"),
+            ('"ab\\', "bad escape at offset 3"),
+            ('"a\\q', "bad escape at offset 2"),  # the escape before the missing quote
+            ("(a (b)", "unbalanced parentheses: missing ')'"),
+            ("a)", "trailing garbage after expression: ')'"),
+            ("(a) b", "trailing garbage after expression: 'b'"),
+            (" \n", "empty input"),
+        ],
+    )
+    def test_error_message_and_offset(self, text, message):
+        with pytest.raises(SexpError) as info:
+            parse_sexp(text)
+        assert str(info.value) == message
 
 
 class TestCanonical:
