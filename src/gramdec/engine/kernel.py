@@ -14,12 +14,16 @@ A grammar is compiled by `compile_tables` into a `Tables`:
     syms        : list[sym | None] every production laid out in grammar
                                    order, one slot per rhs symbol and then
                                    a None end slot; sym is an int
-                                   nonterminal id, or a (chars, negated)
-                                   pair that scans exactly one character c
-                                   when (c in chars) != negated. A terminal
-                                   "abc" is one pair per character and the
-                                   epsilon terminal takes no slot, so
-                                   `S -> ""` is a single None
+                                   nonterminal id, or a scan (chars,
+                                   negated, 1) that scans exactly one
+                                   character c when (c in chars) !=
+                                   negated. A terminal "abc" is one scan
+                                   per character and the epsilon terminal
+                                   takes no slot, so `S -> ""` is a single
+                                   None
+    scans       : list[scan | None] the scan read at each position: syms[pos]
+                                   at a scan slot, (chars, negated, 0) at a
+                                   loop slot (below), None elsewhere
     lhs_at      : list[int]        lhs nonterminal id of the production
                                    that owns each position
     starts      : list[list[int]]  first position of each production, per
@@ -34,8 +38,27 @@ A grammar is compiled by `compile_tables` into a `Tables`:
                                    frozenset of ids the set of several
 
 A position numbers one dotted rule: the dot sits before `syms[pos]`, and
-moving it over that symbol is `pos + 1`. An item is a tuple (pos, origin),
-origin being the earlier column the item started in.
+moving it over that symbol is `pos + 1`; scanning a character there moves
+it to `pos + step`, step being the scan's last field. An item is a tuple
+(pos, origin), origin being the earlier column the item started in.
+
+A nonterminal A other than the start is loop-shaped when it has exactly
+two productions, `A -> C A` for one scan pair C (a class or a
+one-character terminal) and either `A -> ""` or `A -> C`: the literals of
+the shipped grammars (SQL strings, identifiers and digits, Lispress
+strings and numbers, MTOP text) all have one of these shapes. Laid out
+as productions, each character of such a literal would predict a new A
+and complete a chain as long as the literal. Instead, A's own
+productions are not laid out, so starts[A] is empty, and each use of A is
+one loop slot, after a scan slot of C for `A -> C`. A loop slot holds A's
+id in `syms` and C's pair with step 0 in `scans`, so its scan leaves the
+dot where it is: the slot stands for any run of C. nullable[A] is True,
+so the dot also skips the slot in zero span as it moves over any nullable
+nonterminal, in `_predict` and `_close`, and chained where loop slots
+follow each other. Nothing completes A, so what waits on A is never read.
+Two items can scan to one at a loop slot, the slot's own item and one at
+a scan slot before it with the same characters (such as the plain C of
+`A -> C`), so `_close` drops a repeated scanned item.
 
 A column is the closed items after one character prefix: a `PrefixState`,
 which is also the recognizer's state after that prefix. Besides its
@@ -56,9 +79,9 @@ result. A Predictions holds only positions, each of them standing for the
 item (pos, the column that holds the set):
 
     scan_at   : tuple[int]               the predicted items whose dot is
-                                         before a scan pair, read from
-                                         `syms` when the next character is
-                                         scanned
+                                         before a scan or a loop slot, read
+                                         from `scans` when the next
+                                         character is scanned
     waits     : dict[int, tuple[int]]    nonterminal id -> the positions
                                          after it, one per predicted item
                                          whose dot is before it
@@ -79,6 +102,12 @@ column: earlier columns stay reachable through origins and are freed by
 reference counting once nothing points at them. Columns are frozen once
 closed, so forked prefixes are branch-safe by construction, and advancing
 builds one new item list without copying any.
+
+A closed column is a function of its tables and its items, so `advance`
+returns the column itself when the new items equal its own. Inside a
+literal, where each character scans the item at a loop slot to itself and
+closes to the same items, a character therefore keeps one state object
+and costs the same at any depth of the literal.
 
 Token splits
 ------------
@@ -120,7 +149,7 @@ own no item, as the empty prefix's column does, and nothing asks whether
 a column of a walk is complete.
 """
 
-from ..grammar import NONTERMINAL, TERMINAL, nullable_set
+from ..grammar import CHARCLASS, NONTERMINAL, TERMINAL, Symbol, nullable_set
 
 
 class CharMask:
@@ -193,11 +222,13 @@ class Tables:
     can key on a grammar's tables and go with them."""
 
     __slots__ = (
-        "syms", "lhs_at", "starts", "uses", "nullable", "start", "predictions", "__weakref__"
+        "syms", "scans", "lhs_at", "starts", "uses", "nullable", "start", "predictions",
+        "__weakref__",
     )
 
-    def __init__(self, syms, lhs_at, starts, uses, nullable, start):
+    def __init__(self, syms, scans, lhs_at, starts, uses, nullable, start):
         self.syms = syms
+        self.scans = scans
         self.lhs_at = lhs_at
         self.starts = starts
         self.uses = uses
@@ -206,40 +237,88 @@ class Tables:
         self.predictions = {}
 
 
+def _pair(sym):
+    """The (chars, negated) pair that a class or a one-character terminal
+    scans, or None for any other symbol."""
+    if sym.kind == CHARCLASS:
+        return sym.chars, sym.negated
+    if sym.kind == TERMINAL and len(sym.text) == 1:
+        return frozenset(sym.text), False
+    return None
+
+
+def _loops(grammar):
+    """The loop-shaped nonterminals (see Data layout): name -> (the pair C
+    of `A -> C A`, whether the other production is `A -> C`)."""
+    rhss = {}
+    for p in grammar.productions:
+        rhss.setdefault(p.lhs, []).append(p.rhs)
+    loops = {}
+    for name, two in rhss.items():
+        if name == grammar.start or len(two) != 2:
+            continue
+        for loop, other in (two, two[::-1]):
+            if len(loop) != 2 or loop[1] != Symbol.nt(name) or len(other) != 1:
+                continue
+            pair = _pair(loop[0])
+            if pair is not None and other[0] == Symbol.t(""):
+                loops[name] = pair, False
+            elif pair is not None and _pair(other[0]) == pair:
+                loops[name] = pair, True
+    return loops
+
+
 def compile_tables(grammar) -> Tables:
     """The tables of a grammar, with nonterminals numbered in
     `grammar.nonterminals` order."""
     names = grammar.nonterminals
     nt_ids = {name: i for i, name in enumerate(names)}
+    loops = _loops(grammar)
     syms = []
+    scans = []
     lhs_at = []
     starts = [[] for _ in names]
     uses = [[] for _ in names]
-    pairs = {}  # one tuple per distinct scan pair: compiled tables are cached
+    interned = {}  # one tuple per distinct scan: compiled tables are cached
     for p in grammar.productions:
+        if p.lhs in loops:
+            continue  # never reached: each use of it is a loop slot
         lhs = nt_ids[p.lhs]
         starts[lhs].append(len(syms))
         for sym in p.rhs:
             if sym.kind == NONTERMINAL:
+                loop, once = loops.get(sym.name, (None, False))
+                pairs = [loop] if once else []
+            elif sym.kind == TERMINAL:
+                pairs = [(frozenset(c), False) for c in sym.text]
+            else:
+                pairs = [(sym.chars, sym.negated)]
+            for chars, negated in pairs:
+                scan = (chars, negated, 1)
+                syms.append(interned.setdefault(scan, scan))
+                scans.append(syms[-1])
+            if sym.kind == NONTERMINAL:
+                if loop is None:
+                    scans.append(None)
+                else:  # a loop slot: its scan leaves the dot where it is
+                    scan = (*loop, 0)
+                    scans.append(interned.setdefault(scan, scan))
                 syms.append(nt_ids[sym.name])
                 uses[syms[-1]].append(len(syms))
-                continue
-            if sym.kind == TERMINAL:
-                scans = [(frozenset(c), False) for c in sym.text]
-            else:
-                scans = [(sym.chars, sym.negated)]
-            syms.extend(pairs.setdefault(s, s) for s in scans)
         syms.append(None)
+        scans.append(None)
         lhs_at.extend([lhs] * (len(syms) - len(lhs_at)))
     nullable_names = nullable_set(grammar)
-    nullable = [name in nullable_names for name in names]
-    return Tables(syms, lhs_at, starts, uses, nullable, nt_ids[grammar.start])
+    # a loop slot stands for any run of its C, so it is skipped as a
+    # nullable nonterminal is
+    nullable = [name in nullable_names or name in loops for name in names]
+    return Tables(syms, scans, lhs_at, starts, uses, nullable, nt_ids[grammar.start])
 
 
 def _predict(tables, key):
     """The Predictions of the nonterminals `key` names, closed under
     predict and the nullable advance, and cached in the tables."""
-    syms, starts, nullable = tables.syms, tables.starts, tables.nullable
+    syms, scans, starts, nullable = tables.syms, tables.scans, tables.starts, tables.nullable
     predicted = {key} if type(key) is int else set(key)
     positions = []
     for nt in predicted:
@@ -249,9 +328,9 @@ def _predict(tables, key):
     waits = {}
     for pos in positions:  # grows as the closure adds positions
         sym = syms[pos]
-        if type(sym) is tuple:
+        if scans[pos] is not None:
             scan_at.append(pos)
-        elif sym is not None:
+        if type(sym) is int:  # a nonterminal, or a loop slot's
             waits.setdefault(sym, []).append(pos + 1)
             if sym not in predicted:
                 predicted.add(sym)
@@ -277,6 +356,10 @@ def _close(tables, items):
     Predictions."""
     syms, lhs_at, nullable = tables.syms, tables.lhs_at, tables.nullable
     seen = set(items)
+    if len(seen) < len(items):
+        # Two scanned items met at a loop slot: the slot's own item and
+        # one at a scan slot before it with the same characters.
+        items[:] = dict.fromkeys(items)
     waits = {}
     for pos, origin in items:  # grows as the closure adds items
         sym = syms[pos]
@@ -311,8 +394,10 @@ def _close(tables, items):
 class PrefixState:
     """Earley recognizer state after consuming a character prefix: the
     frontier column of the chart (see Data layout). States are values:
-    advancing builds one new state and never mutates an earlier one, so
-    beam-search branches can fork freely. States are weakly referable."""
+    advancing returns a new state, or the state itself when the character
+    leaves its items as they were (inside a literal), and never mutates
+    one, so beam-search branches can fork freely. States are weakly
+    referable."""
 
     __slots__ = ("tables", "items", "waits", "pred", "__weakref__")
 
@@ -339,17 +424,17 @@ class PrefixState:
         return state, len(s)
 
     def allowed_next_chars(self) -> CharMask:
-        """Legal next characters, read off the frontier's scan pairs: the
+        """Legal next characters, read off the frontier's scans: the
         characters of the positive ones and every character outside some
         negated one."""
-        syms = self.tables.syms
+        scans = self.tables.scans
         positive, negated = [], []
         for pos, _ in self.items:
-            pair = syms[pos]
-            if type(pair) is tuple:
-                (negated if pair[1] else positive).append(pair[0])
+            scan = scans[pos]
+            if scan is not None:
+                (negated if scan[1] else positive).append(scan[0])
         for pos in self.pred.scan_at:
-            chars, neg = syms[pos]
+            chars, neg, _ = scans[pos]
             (negated if neg else positive).append(chars)
         excluded = frozenset.intersection(*negated) if negated else None
         return CharMask(frozenset().union(*positive), excluded)
@@ -374,33 +459,37 @@ def initial_state(tables) -> PrefixState:
 
 
 def advance(column, ch):
-    """Scan one character; returns the column after it, or None on reject.
+    """Scan one character; returns the column after it, which is `column`
+    itself when the new items equal its own, or None on reject.
 
     The items of `column` are never mutated. The new items point at
     `column` and earlier columns through their origins.
     """
     tables = column.tables
-    syms = tables.syms
+    scans = tables.scans
     items = []
-    # Distinct frontier items scan to distinct items.
+    # Distinct frontier items scan to distinct items, but at a loop slot.
     for pos, origin in column.items:
-        sym = syms[pos]
-        if type(sym) is tuple and (ch in sym[0]) != sym[1]:
-            items.append((pos + 1, origin))
+        scan = scans[pos]
+        if scan is not None and (ch in scan[0]) != scan[1]:
+            items.append((pos + scan[2], origin))
     for pos in column.pred.scan_at:
-        chars, negated = syms[pos]
+        chars, negated, step = scans[pos]
         if (ch in chars) != negated:
-            items.append((pos + 1, column))
+            items.append((pos + step, column))
     if not items:
         return None
-    return PrefixState(tables, items, *_close(tables, items))
+    waits, pred = _close(tables, items)
+    if items == column.items:  # a column is a function of its items
+        return column
+    return PrefixState(tables, items, waits, pred)
 
 
 def scan_positions(column):
     """The distinct positions of the column's items whose dot is before a
-    scan pair: the positions its next character is scanned at."""
-    syms = column.tables.syms
-    out = {pos for pos, _ in column.items if type(syms[pos]) is tuple}
+    scan or a loop slot: the positions its next character is scanned at."""
+    scans = column.tables.scans
+    out = {pos for pos, _ in column.items if scans[pos] is not None}
     scan_at = column.pred.scan_at
     if scan_at:
         out.update(scan_at)

@@ -318,17 +318,38 @@ def grammar_texts():
     return st.lists(line, max_size=4).map("\n".join)
 
 
+# names that `grammars` draws no other nonterminal by: drawn names have at
+# most 5 characters
+LOOP_NAMES = ("Loop_a", "Loop_b")
+
+
 @st.composite
-def grammars(draw):
-    """Hypothesis strategy: unreduced grammars over any characters."""
+def grammars(draw, loops=False):
+    """Hypothesis strategy: unreduced grammars over any characters. With
+    `loops`, also two loop-shaped nonterminals, `A -> C A` and either
+    `A -> ""` or `A -> C`, for C a one-character terminal or a positive or
+    negated class, used anywhere in the other productions' right-hand
+    sides, also in a row."""
     names = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
-    symbol = st.one_of(
+    symbols = [
         st.text(CHARS, min_size=1, max_size=4).map(Symbol.t),
         st.sampled_from(names).map(Symbol.nt),
         st.builds(Symbol.cc, st.frozensets(CHARS, min_size=1, max_size=5), st.booleans()),
-    )
+    ]
+    productions = []
+    if loops:
+        symbols.append(st.sampled_from(LOOP_NAMES).map(Symbol.nt))
+        scan = st.one_of(
+            st.text(CHARS, min_size=1, max_size=1).map(Symbol.t),
+            st.builds(Symbol.cc, st.frozensets(CHARS, min_size=1, max_size=2), st.booleans()),
+        )
+        for name in LOOP_NAMES:
+            c = draw(scan)
+            productions.append(Production(name, (c, Symbol.nt(name))))
+            productions.append(Production(name, draw(st.sampled_from([(), (c,)]))))
+    symbol = st.one_of(symbols)
     rhs = st.one_of(st.just(()), st.lists(symbol, min_size=1, max_size=4).map(tuple))
-    productions = [
+    productions += [
         Production(name, r)
         for name in names
         for r in draw(st.lists(rhs, min_size=1, max_size=3, unique=True))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -297,6 +298,20 @@ class TestSpecializeSql:
             "SELECT salary FROM head",
         )
         assert code == 3 and json.loads(out)["offset"] == 8
+
+    def test_check_a_long_string_literal(self, capsys, tmp_path):
+        # each character of the literal scans in place, so 20,000 of them
+        # take a few hundredths of a second (about 30 s when each character
+        # completed the chain of all earlier ones)
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"tables": [{"name": "t", "columns": [{"name": "c"}]}]}))
+        grammar = tmp_path / "sql.cfg"
+        assert run(capsys, "specialize-sql", "--schema", str(schema), "--out", str(grammar))[0] == 0
+        query = "SELECT c FROM t WHERE c = '" + "x" * 20_000 + "'"
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "check", "--grammar", str(grammar), "--input", query)
+        assert code == 0 and out.strip() == "accepted"
+        assert time.perf_counter() - start < 5
 
     def test_custom_base_grammar(self, capsys, tmp_path):
         base = tmp_path / "base.cfg"

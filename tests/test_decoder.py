@@ -331,7 +331,7 @@ class SeededScorer(Scorer):
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(grammars(), st.data())
+@given(st.one_of(grammars(), grammars(loops=True)), st.data())
 def test_decode_matches_full_sort_reference(g, data):
     try:
         init_state(g)

@@ -131,7 +131,7 @@ class TestAllowedTokens:
                 assert allowed_tokens(state, trie) == oracle_allowed(state, vocab)
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-    @given(grammars(), st.data())
+    @given(st.one_of(grammars(), grammars(loops=True)), st.data())
     def test_masks_match_trial_advance(self, g, data):
         try:
             state = init_state(g)
@@ -173,17 +173,19 @@ class TestAllowedTokens:
 def classify_at(state, trie, negated=False):
     """(accepted, dependent) at the scan position on the state's frontier
     whose class is negated or not."""
-    syms = state.tables.syms
-    (pos,) = [p for p in kernel.scan_positions(state) if syms[p][1] == negated]
+    scans = state.tables.scans
+    (pos,) = [p for p in kernel.scan_positions(state) if scans[p][1] == negated]
     return kernel.classify(state.tables, pos, trie.root)
 
 
 class TestSplit:
     def test_token_crossing_a_right_recursive_literal(self):
-        g = reduce(parse_grammar('S -> "\\"" C "\\""\nC -> [^"] C | ""'))
         long = "x" * 70
         v = make_vocab(["ab", 'ab"', 'a"b', '"', "a", long, long + '"'])
         t = build_trie(v)
+        # C has a third production, for an escaped quote, so it is laid
+        # out as productions and the literal ends where C's production does
+        g = reduce(parse_grammar(r'S -> "\"" C "\""' "\n" r'C -> [^"\\] C | "\\\"" C | ""'))
         inside = init_state(g).advance_char('"')
         accepted, dependent = classify_at(inside, t, negated=True)
         # the literal's own characters are accepted in any context, however
@@ -194,6 +196,16 @@ class TestSplit:
         mask = allowed_tokens(inside, t)
         assert mask == oracle_allowed(inside, v) == {0, 1, 3, 4, 5, 6}
         after = inside.advance_string("ab" + long)[0]
+        assert allowed_tokens(after, t) == oracle_allowed(after, v)
+        # a loop-shaped C is a loop slot in S's own production, so the
+        # closing quote does not leave the production that is split
+        g = reduce(parse_grammar('S -> "\\"" C "\\""\nC -> [^"] C | ""'))
+        inside = init_state(g).advance_char('"')
+        assert classify_at(inside, t, negated=True) == ({0, 1, 4, 5, 6}, set())
+        mask = allowed_tokens(inside, t)
+        assert mask == oracle_allowed(inside, v) == {0, 1, 3, 4, 5, 6}
+        after = inside.advance_string("ab" + long)[0]
+        assert after is inside
         assert allowed_tokens(after, t) == oracle_allowed(after, v)
 
     def test_token_popping_past_the_frontier_item(self):
