@@ -43,6 +43,7 @@ from .prompting import (
 from .splits import (
     MetricReport,
     aggregate_low,
+    check_golds,
     check_metric,
     evaluate,
     load_dataset_jsonl,
@@ -159,6 +160,13 @@ def positive_int(text) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
+def non_negative_int(text) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is a negative integer")
     return value
 
 
@@ -304,7 +312,8 @@ def _cmd_evaluate(args):
         print(json.dumps({"mean": mean, "stddev": std}))
         return 0
     check_metric(args.metric)  # a flag error names no file
-    gold = _load(load_dataset_jsonl, args.dataset)
+    # a gold the metric cannot score names the dataset
+    gold = _load(lambda text: check_golds(load_dataset_jsonl(text), args.metric), args.dataset)
     report = _load(
         lambda text: evaluate(load_predictions_jsonl(text), gold, args.metric), args.predictions
     )
@@ -391,7 +400,7 @@ def _build_parser():
     p.add_argument("--db-values", action="store_true")
     p.add_argument("--order", choices=ORDERS, default=ORDER_BEST_LAST)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--max-examples", type=int, default=DEFAULT_MAX_EXAMPLES)
+    p.add_argument("--max-examples", type=non_negative_int, default=DEFAULT_MAX_EXAMPLES)
     p.add_argument("--seed", type=int, default=0)
 
     p = command("evaluate", _cmd_evaluate, "score predictions against gold")

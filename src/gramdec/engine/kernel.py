@@ -9,7 +9,11 @@ children with.
 
 Data layout
 -----------
-A grammar is compiled by `compile_tables` into a `Tables`:
+A grammar is compiled by `compile_tables` into a `Tables`. Its
+nonterminals are numbered in grammar order, and one more, accept, takes
+the next free id: its one production `accept -> start` augments the
+grammar, as in textbook Earley and LR parsing, and is laid out last, so
+its end slot is `len(syms) - 1`.
 
     syms        : list[sym | None] every production laid out in grammar
                                    order, one slot per rhs symbol and then
@@ -31,7 +35,7 @@ A grammar is compiled by `compile_tables` into a `Tables`:
     uses        : list[list[int]]  per nonterminal id, the position after
                                    each slot of `syms` that holds it
     nullable    : list[bool]       per nonterminal id
-    start       : int              start nonterminal id
+    start       : int              accept's id
     predictions : dict             the grammar's prediction sets (below),
                                    filled on first use: a nonterminal id
                                    keys the set of that one nonterminal, a
@@ -42,7 +46,7 @@ moving it over that symbol is `pos + 1`; scanning a character there moves
 it to `pos + step`, step being the scan's last field. An item is a tuple
 (pos, origin), origin being the earlier column the item started in.
 
-A nonterminal A other than the start is loop-shaped when it has exactly
+A nonterminal A is loop-shaped when it has exactly
 two productions, `A -> C A` for one scan pair C (a class or a
 one-character terminal) and either `A -> ""` or `A -> C`: the literals of
 the shipped grammars (SQL strings, identifiers and digits, Lispress
@@ -56,6 +60,8 @@ dot where it is: the slot stands for any run of C. nullable[A] is True,
 so the dot also skips the slot in zero span as it moves over any nullable
 nonterminal, in `_predict` and `_close`, and chained where loop slots
 follow each other. Nothing completes A, so what waits on A is never read.
+A loop-shaped start is one such use, in `accept -> start`, so a grammar
+that is a single literal scans in place as well.
 Two items can scan to one at a loop slot, the slot's own item and one at
 a scan slot before it with the same characters (such as the plain C of
 `A -> C`), so `_close` drops a repeated scanned item.
@@ -90,10 +96,12 @@ Columns that predict nothing share one empty set and one empty waits. An
 end slot's item (pos, origin) completes with what origin's two waits hold
 for `lhs_at[pos]`.
 
-The empty prefix's column owns no item, since every item of it is
-predicted from the start nonterminal. Every later column owns at least the
-items its character scanned, since `advance` returns None when none scans.
-So an own item whose origin owns no item started at the empty prefix.
+The empty prefix's column is built as every other one is: by closing
+its one seed item, accept's first position, whose origin is the root, an
+item-less stand-in that nothing waits in. Nothing uses accept, so every
+item of accept's production has the root as its origin, and a prefix is
+a member of the language exactly when its column owns the item at
+accept's end slot.
 
 A column refers only to older columns through its own items' origins,
 never to itself (but for `classify`'s universal stand-in, below, while
@@ -145,8 +153,8 @@ call and its waits are emptied before `classify` returns.
 
 The walks are as deep as the longest token and the chart dedups their
 items, so left recursion and long literals need no bound. The stand-ins
-own no item, as the empty prefix's column does, and nothing asks whether
-a column of a walk is complete.
+own no item, as the root does, and nothing asks whether a column of a
+walk is complete.
 """
 
 from ..grammar import CHARCLASS, NONTERMINAL, TERMINAL, Symbol, nullable_set
@@ -255,7 +263,7 @@ def _loops(grammar):
         rhss.setdefault(p.lhs, []).append(p.rhs)
     loops = {}
     for name, two in rhss.items():
-        if name == grammar.start or len(two) != 2:
+        if len(two) != 2:
             continue
         for loop, other in (two, two[::-1]):
             if len(loop) != 2 or loop[1] != Symbol.nt(name) or len(other) != 1:
@@ -270,22 +278,23 @@ def _loops(grammar):
 
 def compile_tables(grammar) -> Tables:
     """The tables of a grammar, with nonterminals numbered in
-    `grammar.nonterminals` order."""
+    `grammar.nonterminals` order and the accept production `accept ->
+    start` laid out last, its lhs the next free id."""
     names = grammar.nonterminals
     nt_ids = {name: i for i, name in enumerate(names)}
+    accept = len(names)
     loops = _loops(grammar)
+    rules = [(nt_ids[p.lhs], p.rhs) for p in grammar.productions if p.lhs not in loops]
+    rules.append((accept, (Symbol.nt(grammar.start),)))
     syms = []
     scans = []
     lhs_at = []
-    starts = [[] for _ in names]
-    uses = [[] for _ in names]
+    starts = [[] for _ in range(accept + 1)]
+    uses = [[] for _ in range(accept + 1)]
     interned = {}  # one tuple per distinct scan: compiled tables are cached
-    for p in grammar.productions:
-        if p.lhs in loops:
-            continue  # never reached: each use of it is a loop slot
-        lhs = nt_ids[p.lhs]
+    for lhs, rhs in rules:  # a loop's own productions are never reached
         starts[lhs].append(len(syms))
-        for sym in p.rhs:
+        for sym in rhs:
             if sym.kind == NONTERMINAL:
                 loop, once = loops.get(sym.name, (None, False))
                 pairs = [loop] if once else []
@@ -312,7 +321,8 @@ def compile_tables(grammar) -> Tables:
     # a loop slot stands for any run of its C, so it is skipped as a
     # nullable nonterminal is
     nullable = [name in nullable_names or name in loops for name in names]
-    return Tables(syms, scans, lhs_at, starts, uses, nullable, nt_ids[grammar.start])
+    nullable.append(grammar.start in nullable_names)  # accept's
+    return Tables(syms, scans, lhs_at, starts, uses, nullable, accept)
 
 
 def _predict(tables, key):
@@ -440,22 +450,20 @@ class PrefixState:
         return CharMask(frozenset().union(*positive), excluded)
 
     def is_complete(self) -> bool:
-        """Whether the consumed prefix is a full member of the language."""
-        tables = self.tables
-        start = tables.start
-        if not self.items:  # the empty prefix: "" is a member iff start is nullable
-            return tables.nullable[start]
-        syms, lhs_at = tables.syms, tables.lhs_at
-        for pos, origin in self.items:
-            if syms[pos] is None and lhs_at[pos] == start and not origin.items:
+        """Whether the consumed prefix is a full member of the language:
+        whether the column owns an item at the accept production's end."""
+        end = len(self.tables.syms) - 1
+        for pos, _ in self.items:
+            if pos == end:
                 return True
         return False
 
 
 def initial_state(tables) -> PrefixState:
-    """The empty prefix's column: it owns no item, since every item of it
-    is predicted from the start nonterminal."""
-    return PrefixState(tables, [], pred=_predict(tables, tables.start))
+    """The empty prefix's column: the closure of the accept production's
+    first item, whose origin is the item-less root stand-in."""
+    items = [(tables.starts[tables.start][0], PrefixState(tables, []))]
+    return PrefixState(tables, items, *_close(tables, items))
 
 
 def advance(column, ch):

@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .earley import check_string
-from .errors import InductionError, MtopParseError, TypeCheckError
+from .earley import check_string, init_state
+from .errors import GramdecError, InductionError, MtopParseError, TypeCheckError
 from .grammar import NONTERMINAL, Grammar, Production, Symbol, parse_grammar, reduce
 from .jsonl import json_objects
 
@@ -39,6 +39,8 @@ class SignatureTable:
             raise InductionError(
                 f"literal snippet for {type_name!r} starts at {g.start!r}"
             )
+        # compiled now: an empty class fails here, and type_check reuses it
+        init_state(g)
         self.literals[type_name] = g
 
 
@@ -61,7 +63,10 @@ def load_signatures(text: str) -> SignatureTable:
                 raise InductionError(
                     f"literal on line {lineno} needs a string literal and class"
                 )
-            table.add_literal(type_name, snippet)
+            try:
+                table.add_literal(type_name, snippet)
+            except GramdecError as exc:
+                raise InductionError(f"literal on line {lineno}: {exc}") from None
         else:
             raise InductionError(f"unrecognized record on line {lineno}")
     return table

@@ -209,6 +209,8 @@ def build_prompt(
     """
     if order not in ORDERS:
         raise PromptError(f"unknown ordering {order!r}")
+    if max_examples < 0:
+        raise PromptError(f"max_examples must not be negative, got {max_examples}")
     used = whitespace_tokens(_assemble([], target))
     if used > budget:
         raise PromptError("budget too small for the header and target block")

@@ -21,7 +21,7 @@ from .errors import (
     SplitError,
 )
 from .jsonl import json_objects, json_value
-from .lispress import lispress_equal
+from .lispress import lispress_equal, parse_sexp
 from .sql import schema_from_json
 
 LOW_TRAIN_SIZE = 500
@@ -313,15 +313,30 @@ def check_metric(metric: str) -> None:
         raise MetricNotSupportedError(f"unknown metric {metric!r}")
 
 
+def check_golds(gold, metric: str):
+    """Return `gold`, or raise EvaluationError naming the first example
+    whose gold `metric` cannot score: for the lispress metric, a gold that
+    does not parse."""
+    if metric == "lispress":
+        for ex in gold:
+            try:
+                parse_sexp(ex.gold)
+            except SexpError as exc:
+                raise EvaluationError(f"example {ex.id!r}: gold does not parse: {exc}") from None
+    return gold
+
+
 def evaluate(predictions, gold, metric: str) -> MetricReport:
     """Score predictions against gold examples.
 
     `predictions` is an iterable of (id, text); missing ids count as
     incorrect, and duplicate prediction or gold ids are an error. For the
-    lispress metric a prediction that fails to parse counts incorrect and
-    is tallied in parse_failures.
+    lispress metric a gold that fails to parse is an error (`check_golds`),
+    and a prediction that fails to parse counts incorrect and is tallied in
+    parse_failures.
     """
     check_metric(metric)
+    check_golds(gold, metric)
     _check_unique_ids(gold, EvaluationError)
     pred_map = {}
     for pid, text in predictions:

@@ -329,7 +329,7 @@ def grammars(draw, loops=False):
     `loops`, also two loop-shaped nonterminals, `A -> C A` and either
     `A -> ""` or `A -> C`, for C a one-character terminal or a positive or
     negated class, used anywhere in the other productions' right-hand
-    sides, also in a row."""
+    sides, also in a row, and drawn as the start too."""
     names = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
     symbols = [
         st.text(CHARS, min_size=1, max_size=4).map(Symbol.t),
@@ -354,7 +354,8 @@ def grammars(draw, loops=False):
         for name in names
         for r in draw(st.lists(rhs, min_size=1, max_size=3, unique=True))
     ]
-    return Grammar(draw(st.sampled_from(names)), productions)
+    start = draw(st.sampled_from(names + list(LOOP_NAMES) if loops else names))
+    return Grammar(start, productions)
 
 
 # 200 bodies that are not a JSON object whose "scores" is a list of numbers

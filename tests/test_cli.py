@@ -515,6 +515,8 @@ BAD_FILES = {
         json.dumps({"id": "dup", "utterance": "u", "gold": "g", "portion": p}) for p in ("train", "test")
     ),
     "sigs_ok": json.dumps({"symbol": "now", "args": [], "result": "Datetime"}),
+    # a literal class whose language is empty
+    "sigs_empty_class": json.dumps({"literal": "T", "class": 'T -> T | "a" T'}),
     "schema_no_columns": json.dumps({"tables": [{"name": "t", "columns": []}]}),
     "predictions_unknown_id": json.dumps({"id": "zz", "prediction": "(now)"}),
     "dataset_empty_utterance": json.dumps({"id": "ex-9", "utterance": "", "gold": "g"}),
@@ -525,6 +527,11 @@ BAD_FILES = {
     "argv,code",
     [
         pytest.param(["decode", "--vocab", "{v}", "--grammar", "{g}", "--beam", "0"], 1, id="beam-0"),
+        pytest.param(
+            ["build-prompt", "--dataset", "{dataset_ok}", "--target", "t", "--max-examples", "-3"],
+            1,
+            id="max-examples-negative",
+        ),
         pytest.param(
             ["decode", "--vocab", "{v}", "--grammar", "{g}", "--max-tokens", "0"], 1, id="max-tokens-0"
         ),
@@ -568,6 +575,11 @@ BAD_FILES = {
             ["induce-grammar", "--signatures", "{sigs_args_str}", "--dataset", "{dataset_ok}", "--format", "lispress"],
             2,
             id="signatures-args-str",
+        ),
+        pytest.param(
+            ["induce-grammar", "--signatures", "{sigs_empty_class}", "--dataset", "{dataset_ok}", "--format", "lispress"],
+            2,
+            id="signatures-empty-class",
         ),
         pytest.param(
             ["evaluate", "--aggregate", "{report_correct_int}", "{report_correct_int}", "{report_correct_int}"],
@@ -816,6 +828,25 @@ class TestEvaluate:
         )
         assert code == 2
         assert f"metric {metric!r}" in err and ".jsonl" not in err
+
+    def test_gold_that_does_not_parse_names_the_dataset(self, capsys, tmp_path):
+        # a malformed gold is a data error, not the prediction's parse failure
+        ds = tmp_path / "gold.jsonl"
+        ds.write_text(json.dumps({"id": "a", "gold": "(f", "portion": "test"}))
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(json.dumps({"id": "a", "prediction": "(f)"}))
+        code, out, err = run(
+            capsys,
+            "evaluate",
+            "--dataset",
+            str(ds),
+            "--predictions",
+            str(preds),
+            "--metric",
+            "lispress",
+        )
+        assert code == 2 and not out
+        assert err.startswith(f"error: {ds}: example 'a': ") and str(preds) not in err
 
     def test_needs_inputs(self, capsys):
         code, _, _ = run(capsys, "evaluate")

@@ -132,16 +132,20 @@ def test_one_kernel_module():
 
 def test_table_layout():
     # one slot per scanned character or nonterminal, then a None end slot;
-    # the epsilon terminal takes no slot, and a scan moves the dot by 1
+    # the epsilon terminal takes no slot, and a scan moves the dot by 1;
+    # the accept production `accept -> S` comes last, its lhs id 2
     g = parse_grammar('S -> "ab" A | ""\nA -> [^x]')
     tables = kernel.compile_tables(g)
     syms, lhs_at, starts = tables.syms, tables.lhs_at, tables.starts
     a, b, not_x = (frozenset("a"), False, 1), (frozenset("b"), False, 1), (frozenset("x"), True, 1)
-    assert syms == [a, b, 1, None, None, not_x, None]
-    assert tables.scans == [a, b, None, None, None, not_x, None]
-    assert lhs_at == [0, 0, 0, 0, 0, 1, 1]
-    assert starts == [[0, 4], [5]]
-    assert tables.uses == [[], [3]]  # the position after A's one slot
+    assert syms == [a, b, 1, None, None, not_x, None, 0, None]
+    assert tables.scans == [a, b, None, None, None, not_x, None, None, None]
+    assert lhs_at == [0, 0, 0, 0, 0, 1, 1, 2, 2]
+    assert starts == [[0, 4], [5], [7]]
+    assert tables.start == 2
+    assert tables.nullable == [True, False, True]
+    # the positions after A's one slot and after S's in accept
+    assert tables.uses == [[8], [3], []]
 
 
 def plain(chars, negated=False):
@@ -183,19 +187,41 @@ OPEN, CLOSE = plain("("), plain(")")
 )
 def test_loop_slot_layout(text, syms, scans):
     tables = kernel.compile_tables(parse_grammar(text))
+    end = len(syms)  # S's end slot; `accept -> S` follows it
+    assert tables.syms == syms + [None, 0, None]
+    assert tables.scans == scans + [None, None, None]
+    # A's own productions are not laid out, and its slot can be skipped
+    assert tables.starts == [[0], [], [end + 1]]
+    assert tables.nullable == [False, True, False]
+    assert tables.uses == [[end + 2], [end - 1], []]
+
+
+@pytest.mark.parametrize(
+    "text,syms,scans,nullable",
+    [
+        # a loop-shaped start is a loop slot in `accept -> A`
+        ('A -> "" | "a" A', [0], [loop("a")], True),
+        ('A -> [x] | [x] A', [plain("x"), 0], [plain("x"), loop("x")], False),
+    ],
+)
+def test_loop_shaped_start_layout(text, syms, scans, nullable):
+    tables = kernel.compile_tables(parse_grammar(text))
     assert tables.syms == syms + [None]
     assert tables.scans == scans + [None]
-    # A's own productions are not laid out, and its slot can be skipped
-    assert tables.starts == [[0], []]
-    assert tables.nullable == [False, True]
-    assert tables.uses == [[], [len(syms) - 1]]
+    assert tables.starts == [[], [0]]
+    assert tables.start == 1
+    # A's slot can be skipped; accept is nullable iff the language holds ""
+    assert tables.nullable == [True, nullable]
+    assert tables.uses == [[len(syms)], []]
 
 
 def test_loops_in_a_row_and_at_the_ends():
     g = parse_grammar('S -> A B "c" A\nA -> "" | "a" A\nB -> "b" | "b" B')
     tables = kernel.compile_tables(g)
-    assert tables.syms == [1, plain("b"), 2, plain("c"), 1, None]
-    assert tables.scans == [loop("a"), plain("b"), loop("b"), plain("c"), loop("a"), None]
+    assert tables.syms == [1, plain("b"), 2, plain("c"), 1, None, 0, None]
+    assert tables.scans == [
+        loop("a"), plain("b"), loop("b"), plain("c"), loop("a"), None, None, None,
+    ]
     for word, verdict in [
         ("bc", "accepted"), ("aabbbcaa", "accepted"), ("bca", "accepted"),
         ("ab", "incomplete"), ("abcb", "rejected"), ("c", "rejected"),
@@ -206,7 +232,6 @@ def test_loops_in_a_row_and_at_the_ends():
 @pytest.mark.parametrize(
     "text",
     [
-        'A -> "" | "a" A',  # the start symbol
         'S -> "(" A ")"\nA -> "ab" A | ""',  # a two-character terminal
         'S -> "(" A ")"\nA -> [x] A | [y]',  # a different class
         'S -> "(" A ")"\nA -> [x] A | "" | "z"',  # three productions
@@ -218,11 +243,12 @@ def test_loop_lookalikes_compile_as_productions(text):
     g = parse_grammar(text)
     tables = kernel.compile_tables(g)
     per_lhs = [sum(p.lhs == name for p in g.productions) for name in g.nonterminals]
-    assert list(map(len, tables.starts)) == per_lhs
+    assert list(map(len, tables.starts)) == per_lhs + [1]  # and `accept -> S`
     # every scan is a plain one, read at a scan slot
     assert tables.scans == [s if type(s) is tuple else None for s in tables.syms]
     assert all(s[2] == 1 for s in tables.scans if s)
-    assert tables.nullable == [name in nullable_set(g) for name in g.nonterminals]
+    names = (*g.nonterminals, g.start)  # accept is nullable iff S is
+    assert tables.nullable == [name in nullable_set(g) for name in names]
 
 
 class TestAdvance:
@@ -374,6 +400,24 @@ class TestColumns:
         short, long = map(min, zip(*times))
         assert long < 3 * short, (short, long)
 
+    def test_a_loop_shaped_start_scans_in_place(self):
+        # a grammar that is one literal is a loop slot in `accept -> T`, so
+        # 4,000 characters take about 4 ms; laid out as productions, each
+        # character completed the chain of all earlier ones (1.2 s)
+        g = parse_grammar(r"T -> [^\[\]] | [^\[\]] T")
+        init_state(g)  # compiled outside the timing
+        t = time.perf_counter()
+        assert check_string(g, "y" * 4000) == ("accepted", 4000)
+        assert time.perf_counter() - t < 0.05
+        state = init_state(g).advance_char("y")
+        assert state.advance_char("y") is state
+
+    @pytest.mark.parametrize(
+        "text,verdict", [('T -> [x] | [x] T', "incomplete"), ('T -> "" | [x] T', "accepted")]
+    )
+    def test_the_empty_prefix_of_a_loop_shaped_start(self, text, verdict):
+        assert check_string(parse_grammar(text), "") == (verdict, 0)
+
     def test_columns_form_no_reference_cycles(self):
         # refcounting alone frees a dropped state's columns, and then a
         # dropped grammar's compiled entry (a grammar no other test builds,
@@ -455,20 +499,21 @@ class TestColumns:
 
 
 def textbook_column(tables, chart, text):
-    """The next Earley column of `chart`, the columns of `text[:-1]`, as a
-    set of (pos, origin column index): scan the last character (or seed
-    the start productions), then predict and complete until nothing
-    changes, a zero-span completion reading the growing column itself. A
-    loop slot, a nonterminal slot with a scan, stands for any run of its
-    characters: its scan stays at the slot, and the dot skips it as it
-    would a nullable nonterminal."""
-    syms, scans, lhs_at = tables.syms, tables.scans, tables.lhs_at
-    starts, start = tables.starts, tables.start
+    """The next Earley column of `chart` as a set of (pos, origin column
+    index). chart[0] is the root stand-in, which holds no item, and
+    chart[k] is the column of text[:k - 1]. The next column scans the last
+    character of `text` (or, after the root, seeds the accept production at
+    the root), then predicts and completes until nothing changes, a
+    zero-span completion reading the growing column itself. A loop slot, a
+    nonterminal slot with a scan, stands for any run of its characters: its
+    scan stays at the slot, and the dot skips it as it would a nullable
+    nonterminal."""
+    syms, scans, lhs_at, starts = tables.syms, tables.scans, tables.lhs_at, tables.starts
     k = len(chart)
-    if k == 0:
-        column = {(p, 0) for p in starts[start]}
+    if k == 1:
+        column = {(starts[tables.start][0], 0)}
     else:
-        ch = text[k - 1]
+        ch = text[k - 2]
         column = {
             (pos if type(syms[pos]) is int else pos + 1, origin)
             for pos, origin in chart[-1]
@@ -499,28 +544,27 @@ def assert_columns_equal_the_textbook_closure(g, viable):
     items that started in an older column, and its prediction set holds
     what the kernel reads of those that started in the state itself: the
     positions before a scan pair and, per nonterminal, the positions after
-    it. Origins compare as column indices."""
-    root = init_state(g)
-    paths = {"": ([root], [textbook_column(root.tables, [], "")])}
+    it. Origins compare as column indices, the root stand-in's being 0."""
+    initial = init_state(g)
+    tables = initial.tables
+    root = initial.items[0][1]  # the origin of the seeded accept item
+    paths = {"": ([root, initial], [set(), textbook_column(tables, [set()], "")])}
     for word in sorted(viable, key=lambda w: (len(w), w)):
         if word:
             states, chart = paths[word[:-1]]
             state = states[-1].advance_char(word[-1])
             assert state is not None, (g, word)
             states = states + [state]
-            chart = chart + [textbook_column(root.tables, chart, word)]
+            chart = chart + [textbook_column(tables, chart, word)]
             paths[word] = (states, chart)
         states, chart = paths[word]
         index = {id(s): i for i, s in enumerate(states)}
-        state = states[-1]
-        syms, scans = root.tables.syms, root.tables.scans
-        # only the empty prefix's column owns no item, which is how
-        # is_complete tells an item that started at the empty prefix
-        assert bool(state.items) == bool(word), (g, word)
+        state, k = states[-1], len(states) - 1
+        syms, scans = tables.syms, tables.scans
         own = [(pos, index[id(origin)]) for pos, origin in state.items]
         assert len(set(own)) == len(own)
-        assert set(own) == {(p, o) for p, o in chart[-1] if o < len(word)}, (g, word)
-        predicted = {p for p, o in chart[-1] if o == len(word)}
+        assert set(own) == {(p, o) for p, o in chart[-1] if o < k}, (g, word)
+        predicted = {p for p, o in chart[-1] if o == k}
         scan_at = state.pred.scan_at
         assert len(set(scan_at)) == len(scan_at)
         assert set(scan_at) == {p for p in predicted if scans[p] is not None}

@@ -7,7 +7,7 @@ import pytest
 
 from gramdec.earley import check_string
 from gramdec.engine import kernel
-from gramdec.errors import InductionError, MtopParseError, TypeCheckError
+from gramdec.errors import EmptyLanguageError, InductionError, MtopParseError, TypeCheckError
 from gramdec.grammar import enumerate_language, serialize_grammar
 from gramdec.induction import (
     MtopTree,
@@ -57,6 +57,21 @@ class TestSignatures:
         t = SignatureTable()
         with pytest.raises(InductionError):
             t.add_literal("Long", 'Digits -> [0-9]')
+
+    def test_empty_literal_class_names_its_line(self):
+        # compiled when added, so the signatures name it, not a dataset
+        # example that type-checks against it
+        with pytest.raises(EmptyLanguageError):
+            SignatureTable().add_literal("T", 'T -> T | "a" T')
+        text = "\n".join(
+            json.dumps(r)
+            for r in [
+                {"symbol": "f", "args": ["T"], "result": "U"},
+                {"literal": "T", "class": 'T -> T | "a" T'},
+            ]
+        )
+        with pytest.raises(InductionError, match="literal on line 2: start symbol 'T'"):
+            load_signatures(text)
 
     def test_bad_jsonl(self):
         with pytest.raises(InductionError):

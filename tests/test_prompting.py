@@ -280,7 +280,9 @@ class TestBuildPrompt:
         exs = [pe(f"u{i}", rel=1.0 - i * 0.01) for i in range(40)]
         prompt = build_prompt(exs, "t", budget=10**6, max_examples=20)
         assert prompt.n_examples == 20
-        assert build_prompt(exs, "t", budget=10**6, max_examples=-1).n_examples == 0
+        assert build_prompt(exs, "t", budget=10**6, max_examples=0).n_examples == 0
+        with pytest.raises(PromptError, match="-1"):
+            build_prompt(exs, "t", budget=10**6, max_examples=-1)
 
     def test_random_order_deterministic_per_seed(self):
         exs = [pe(f"u{i}", rel=float(i)) for i in range(10)]

@@ -198,6 +198,13 @@ class TestEvaluate:
         assert r.parse_failures == 1
         assert r.accuracy == 0.0
 
+    def test_lispress_gold_that_does_not_parse(self):
+        # a malformed gold is a data error, not the prediction's parse failure
+        gold = [DatasetExample(id="a", utterance="", gold="(f")]
+        with pytest.raises(EvaluationError, match="example 'a'"):
+            evaluate([("a", "(f)")], gold, "lispress")
+        assert evaluate([("a", "(f)")], gold, "exact").accuracy == 0.0
+
     def test_missing_prediction_is_incorrect(self):
         r = evaluate([], GOLD, "exact")
         assert r.accuracy == 0.0 and r.n == 3
