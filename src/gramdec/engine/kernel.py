@@ -117,6 +117,17 @@ literal, where each character scans the item at a loop slot to itself and
 closes to the same items, a character therefore keeps one state object
 and costs the same at any depth of the literal.
 
+`advance` scans a string's characters in turn and builds a column only
+where it completes, predicts or ends the string. A column whose items all
+sit at scan slots is bare: no item is at an end slot or before a
+nonterminal, so it completes, waits on and predicts nothing, and is closed
+as it stands. Only a column's predictions start items in it, and a bare
+one has none, so no later item has it as origin: it stays an item list
+until the next character scans it. Bare columns are the inside of a
+multi-character terminal, such as `SELECT` or `[IN:GET_WEATHER`, so a
+token builds a column per completion or prediction it passes and one at
+its end, not one per character.
+
 Token splits
 ------------
 `classify` splits a token trie against one scan position p without the
@@ -421,17 +432,11 @@ class PrefixState:
         """New state after one character, or None if the prefix dies."""
         if len(c) != 1:
             raise ValueError("advance_char takes exactly one character")
-        return advance(self, c)
+        return advance(self, c)[0]
 
     def advance_string(self, s: str) -> "tuple[PrefixState | None, int]":
         """Advance over each character; returns (state or None, chars consumed)."""
-        state = self
-        for i, c in enumerate(s):
-            nxt = state.advance_char(c)
-            if nxt is None:
-                return None, i
-            state = nxt
-        return state, len(s)
+        return advance(self, s)
 
     def allowed_next_chars(self) -> CharMask:
         """Legal next characters, read off the frontier's scans: the
@@ -466,31 +471,49 @@ def initial_state(tables) -> PrefixState:
     return PrefixState(tables, items, *_close(tables, items))
 
 
-def advance(column, ch):
-    """Scan one character; returns the column after it, which is `column`
-    itself when the new items equal its own, or None on reject.
+def advance(column, text):
+    """Scan the characters of `text` in turn; returns (the column after
+    them, or None once a character dies, the characters consumed). The
+    column returned is `column` itself when its new items equal its own.
 
-    The items of `column` are never mutated. The new items point at
+    Only a column that completes, predicts or ends `text` is built: a
+    bare one, whose items all sit at scan slots, stays an item list
+    between characters, since it is never an origin (see Data layout).
+    The items of `column` are never mutated; the new items point at
     `column` and earlier columns through their origins.
     """
     tables = column.tables
-    scans = tables.scans
-    items = []
-    # Distinct frontier items scan to distinct items, but at a loop slot.
-    for pos, origin in column.items:
-        scan = scans[pos]
-        if scan is not None and (ch in scan[0]) != scan[1]:
-            items.append((pos + scan[2], origin))
-    for pos in column.pred.scan_at:
-        chars, negated, step = scans[pos]
-        if (ch in chars) != negated:
-            items.append((pos + step, column))
-    if not items:
-        return None
-    waits, pred = _close(tables, items)
-    if items == column.items:  # a column is a function of its items
-        return column
-    return PrefixState(tables, items, waits, pred)
+    syms, scans = tables.syms, tables.scans
+    items, scan_at = column.items, column.pred.scan_at
+    n = left = len(text)
+    for ch in text:
+        left -= 1
+        new = []
+        # Distinct frontier items scan to distinct items, but at a loop slot.
+        for pos, origin in items:
+            scan = scans[pos]
+            if scan is not None and (ch in scan[0]) != scan[1]:
+                new.append((pos + scan[2], origin))
+        for pos in scan_at:
+            chars, negated, step = scans[pos]
+            if (ch in chars) != negated:
+                new.append((pos + step, column))
+        if not new:
+            return None, n - left - 1
+        for pos, _ in new:
+            if type(syms[pos]) is not tuple:  # it completes or predicts
+                break
+        else:  # a bare column: closed as it stands, and never an origin
+            if left:
+                items, scan_at = new, ()
+                continue
+            # not `column`'s items: each moved on from them or started in it
+            return PrefixState(tables, new), n
+        waits, pred = _close(tables, new)
+        if new != column.items:  # a column is a function of its items
+            column = PrefixState(tables, new, waits, pred)
+        items, scan_at = new, pred.scan_at
+    return column, n
 
 
 def scan_positions(column):
@@ -532,7 +555,7 @@ def classify(tables, pos, root):
         for ch, child in _scanned(node, column.allowed_next_chars()):
             accepted.update(child.token_ids)
             if child.children:
-                advanced = advance(column, ch)
+                advanced = advance(column, ch)[0]
                 if escape in advanced.items:
                     escapes.append(child)
                 walk.append((child, advanced))
@@ -567,7 +590,7 @@ def _survivors(escapes, column):
                 if child.children:
                     longer = suffix + ch
                     if longer not in reached:
-                        advanced = advance(column, ch)
+                        advanced = advance(column, ch)[0]
                         reached[longer] = advanced, advanced.allowed_next_chars()
                     walk.append((child, longer))
     return survivors

@@ -56,7 +56,10 @@ def load_signatures(text: str) -> SignatureTable:
                     f"signature on line {lineno} needs a string symbol and"
                     " result and a list of string args"
                 )
-            table.add_signature(symbol, args, result)
+            try:
+                table.add_signature(symbol, args, result)
+            except InductionError as exc:
+                raise InductionError(f"signature on line {lineno}: {exc}") from None
         elif "literal" in rec:
             type_name, snippet = rec["literal"], rec.get("class")
             if not _strings(type_name, snippet):

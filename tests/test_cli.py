@@ -517,6 +517,7 @@ BAD_FILES = {
     "sigs_ok": json.dumps({"symbol": "now", "args": [], "result": "Datetime"}),
     # a literal class whose language is empty
     "sigs_empty_class": json.dumps({"literal": "T", "class": 'T -> T | "a" T'}),
+    "sigs_duplicate": "\n".join(json.dumps({"symbol": "f", "args": [], "result": "U"}) for _ in range(2)),
     "schema_no_columns": json.dumps({"tables": [{"name": "t", "columns": []}]}),
     "predictions_unknown_id": json.dumps({"id": "zz", "prediction": "(now)"}),
     "dataset_empty_utterance": json.dumps({"id": "ex-9", "utterance": "", "gold": "g"}),
@@ -580,6 +581,11 @@ BAD_FILES = {
             ["induce-grammar", "--signatures", "{sigs_empty_class}", "--dataset", "{dataset_ok}", "--format", "lispress"],
             2,
             id="signatures-empty-class",
+        ),
+        pytest.param(
+            ["induce-grammar", "--signatures", "{sigs_duplicate}", "--dataset", "{dataset_ok}", "--format", "lispress"],
+            2,
+            id="signatures-duplicate",
         ),
         pytest.param(
             ["evaluate", "--aggregate", "{report_correct_int}", "{report_correct_int}", "{report_correct_int}"],

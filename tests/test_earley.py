@@ -412,6 +412,26 @@ class TestColumns:
         state = init_state(g).advance_char("y")
         assert state.advance_char("y") is state
 
+    def test_a_terminal_builds_no_column_per_character(self, monkeypatch):
+        # the columns inside a terminal wait on a character, predict
+        # nothing and are never an origin, so only the last one is built
+        g = parse_grammar('S -> "' + "a" * 4000 + '"')
+        literal, opening = literal_grammar("sql_string")
+        initial, (inside, _) = init_state(g), init_state(literal).advance_string(opening + "x")
+        built = []
+        prefix_state = kernel.PrefixState
+
+        def counting(*args):
+            built.append(args)
+            return prefix_state(*args)
+
+        monkeypatch.setattr(kernel, "PrefixState", counting)
+        state, consumed = initial.advance_string("a" * 4000)
+        assert consumed == 4000 and state.is_complete()
+        assert len(built) == 1
+        assert inside.advance_string("x" * 50) == (inside, 50)
+        assert len(built) == 1
+
     @pytest.mark.parametrize(
         "text,verdict", [('T -> [x] | [x] T', "incomplete"), ('T -> "" | [x] T', "accepted")]
     )
@@ -636,6 +656,61 @@ def test_check_string_agrees_with_enumeration(g):
             dead = next(k for k in range(len(word)) if word[: k + 1] not in viable)
             expected = ("rejected", dead)
         assert (verdict, offset) == expected, (g, word)
+
+
+def columns_equal(a, b, memo):
+    """Whether two columns hold the same item positions with origins that
+    compare equal in turn, and the same predictions and completeness."""
+    if a is b:
+        return True
+    key = id(a), id(b)
+    if key not in memo:
+        memo[key] = (
+            [pos for pos, _ in a.items] == [pos for pos, _ in b.items]
+            and a.pred.scan_at == b.pred.scan_at
+            and a.pred.waits == b.pred.waits
+            and a.is_complete() == b.is_complete()
+            and all(columns_equal(x, y, memo) for (_, x), (_, y) in zip(a.items, b.items))
+        )
+    return memo[key]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.one_of(grammars(), grammars(loops=True)))
+# a multi-character terminal that ends a production, one that runs into a
+# loop slot, and a loop-shaped start
+@example(parse_grammar('S -> A "d" | A A\nA -> "abc" | "ab"'))
+@example(parse_grammar('S -> "ab" A "c" | "abc"\nA -> "" | [bc] A'))
+@example(parse_grammar('T -> [ab] | [ab] T'))
+def test_a_string_run_equals_its_characters_one_at_a_time(g):
+    # from every state of the char-at-a-time path, a run over the rest of
+    # the word reaches an equal state, and a dead extension dies at the
+    # same character
+    try:
+        init_state(g)
+    except EmptyLanguageError:
+        assume(False)
+    bound = 5
+    viable = viable_prefixes(g, max_prefix_len=bound, limit=5000)
+    assume(viable is not None)
+    alphabet = grammar_alphabet(g)
+    alphabet.add(min({chr(i) for i in range(len(alphabet) + 1)} - alphabet))
+    paths = {"": [init_state(g)]}
+    for word in sorted(viable, key=len):
+        if word:
+            paths[word] = paths[word[:-1]] + [paths[word[:-1]][-1].advance_char(word[-1])]
+        states = paths[word]
+        memo = {}
+        for j, state in enumerate(states):
+            got, consumed = state.advance_string(word[j:])
+            assert consumed == len(word) - j and columns_equal(got, states[-1], memo), (g, word, j)
+        if len(word) == bound:
+            continue
+        for c in sorted(alphabet):
+            if word + c not in viable:
+                assert states[-1].advance_char(c) is None
+                for j, state in enumerate(states):
+                    assert state.advance_string(word[j:] + c + c) == (None, len(word) - j), (g, word, j)
 
 
 def test_columns_equal_the_textbook_closure_on_small_alphabets():

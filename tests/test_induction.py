@@ -73,6 +73,13 @@ class TestSignatures:
         with pytest.raises(InductionError, match="literal on line 2: start symbol 'T'"):
             load_signatures(text)
 
+    def test_duplicate_signature_names_its_line(self):
+        text = "\n".join(
+            json.dumps({"symbol": "f", "args": [], "result": "U"}) for _ in range(2)
+        )
+        with pytest.raises(InductionError, match="signature on line 2: duplicate signature for 'f'"):
+            load_signatures(text)
+
     def test_bad_jsonl(self):
         with pytest.raises(InductionError):
             load_signatures('{"nope": 1}')

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gramdec.earley import init_state
+from gramdec.earley import check_string, init_state
 from gramdec.engine import kernel
 from gramdec.errors import DisallowedTokenError, EmptyLanguageError, VocabularyError
 from gramdec.grammar import parse_grammar, reduce
@@ -324,6 +324,20 @@ class TestAdvanceToken:
         t = build_trie(v)
         with pytest.raises(DisallowedTokenError):
             advance_token(init_state(ANBN), t, 1)
+
+    @pytest.mark.parametrize(
+        "text,offset",
+        [
+            ("SELEX", 4),  # dies inside a bare run: "SELE" waits on a character
+            ("SELECTEX", 7),  # dies after "SELECTE" completed `"SELECT" [a-z]`
+        ],
+    )
+    def test_a_dead_token_names_its_offset(self, text, offset):
+        g = parse_grammar('S -> "SELECTED" | "SELECT" [a-z]')
+        assert check_string(g, text) == ("rejected", offset)
+        t = build_trie(make_vocab([text]))
+        with pytest.raises(DisallowedTokenError, match=f"dies at character offset {offset}$"):
+            advance_token(init_state(g), t, 0)
 
     def test_eos_not_advanceable(self):
         v = make_vocab(["a"])
