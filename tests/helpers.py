@@ -7,9 +7,12 @@ enumerated from a prefix grammar, and token masks are recomputed by
 per-token trial advancement.
 """
 
+import contextlib
 import json
 import math
 import random
+import re
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -370,12 +373,15 @@ BAD_BODIES = {
 
 class ScorerHandler(BaseHTTPRequestHandler):
     """A scorer service over a 3-token vocabulary, answering as `behavior`
-    says: "ok", "error" (HTTP 500) or one of BAD_BODIES."""
+    says: "ok", "error" (HTTP 500) or one of BAD_BODIES. `last_request`
+    holds the last request's JSON body and headers."""
 
     behavior = "ok"
+    last_request = None
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        ScorerHandler.last_request = body, self.headers
         if self.behavior == "error":
             self.send_response(500)
             self.end_headers()
@@ -402,8 +408,61 @@ def scorer_server():
     """The URL of a ScorerHandler on a local port, answering "ok" until a
     test sets ScorerHandler.behavior."""
     ScorerHandler.behavior = "ok"
+    ScorerHandler.last_request = None
     server = HTTPServer(("127.0.0.1", 0), ScorerHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/"
     server.shutdown()
+    server.server_close()
+
+
+def _read_request(conn):
+    """Read one HTTP request with a Content-Length body off conn."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(65536)
+        if not chunk:
+            return
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = re.search(rb"(?im)^content-length:\s*(\d+)", head)
+    left = int(length.group(1)) - len(body) if length else 0
+    while left > 0:
+        chunk = conn.recv(left)
+        if not chunk:
+            return
+        left -= len(chunk)
+
+
+@contextlib.contextmanager
+def raw_server(reply):
+    """The URL of a server on a local port that takes one connection, reads
+    one request and then sends the bytes `reply` and closes, or (reply None)
+    stays silent until the client hangs up. Each wait is bounded by 10 s."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+
+    def serve():
+        try:
+            conn, _ = listener.accept()
+        except OSError:
+            return
+        with conn:
+            conn.settimeout(10)
+            try:
+                _read_request(conn)
+                if reply is None:
+                    conn.recv(1)
+                else:
+                    conn.sendall(reply)
+            except OSError:
+                pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}/"
+    finally:
+        thread.join()
+        listener.close()

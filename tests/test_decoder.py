@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import socket
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +26,7 @@ from gramdec.errors import (
 from gramdec.grammar import parse_grammar, reduce
 from gramdec.tokens import Vocabulary, advance_token, allowed_tokens, build_trie
 
-from helpers import CHARS, ScorerHandler, grammar_alphabet, grammars, make_vocab
+from helpers import CHARS, ScorerHandler, grammar_alphabet, grammars, make_vocab, raw_server
 from helpers import scorer_server  # noqa: F401  (a fixture)
 
 ANBN = reduce(parse_grammar('@start S\nS -> "a" S "b"\nS -> ""'))
@@ -358,13 +360,70 @@ def test_decode_matches_full_sort_reference(g, data):
     ]
 
 
+def _reply(status: str, body: bytes, length=None) -> bytes:
+    """An HTTP/1.1 reply with a JSON content type; `length` overrides the
+    body's Content-Length."""
+    length = len(body) if length is None else length
+    head = f"HTTP/1.1 {status}\r\nContent-Type: application/json\r\nContent-Length: {length}\r\n"
+    return head.encode() + b"Connection: close\r\n\r\n" + body
+
+
+# a body every check but its own fault would accept
+SCORES = b'{"scores": [0.0, 0.0, 0.0]}'
+
+
 class TestHttpScorer:
     def test_round_trip(self, scorer_server):
         ScorerHandler.behavior = "ok"
         s = HttpScorer(scorer_server)
-        scores = s.score((1, 2), "ctx")
+        scores = s.score((1, 2), "ctx\ud800")
         assert len(scores) == 3
         assert scores[0] == pytest.approx(math.log(1 / 3) + 0.002)
+        body, headers = ScorerHandler.last_request
+        assert body == {"conditioning": "ctx\ud800", "prefix": [1, 2]}
+        assert headers["Content-Type"] == "application/json"
+
+    @pytest.mark.parametrize("url", ["not a url", "http://", "http://[::1"])
+    def test_malformed_url(self, url):
+        with pytest.raises(ScorerError):
+            HttpScorer(url, timeout=0.5).score((), "")
+
+    def test_file_url_is_not_read(self, tmp_path):
+        path = tmp_path / "scores.json"
+        path.write_bytes(SCORES)
+        with pytest.raises(ScorerError):
+            HttpScorer(path.as_uri(), timeout=0.5).score((), "")
+
+    def test_ftp_url_opens_nothing(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+            with pytest.raises(ScorerError):
+                HttpScorer(f"ftp://127.0.0.1:{port}/scores", timeout=0.5).score((), "")
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                listener.accept()  # no connection waits
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            pytest.param(b"HTTP/1.1 204 No Content\r\n\r\n", id="204"),
+            pytest.param(_reply("201 Created", SCORES), id="201"),
+            pytest.param(_reply("200 OK", SCORES, length=len(SCORES) + 20), id="truncated-body"),
+            pytest.param(b"", id="closed-without-reply"),
+            pytest.param(_reply("200 OK", b'{"scores": [0.0, \xff, 0.0]}'), id="not-utf-8"),
+        ],
+    )
+    def test_bad_reply(self, reply):
+        with raw_server(reply) as url:
+            with pytest.raises(ScorerError):
+                HttpScorer(url, timeout=5).score((), "")
+
+    def test_silent_server_times_out(self):
+        with raw_server(None) as url:
+            start = time.monotonic()
+            with pytest.raises(ScorerError):
+                HttpScorer(url, timeout=0.5).score((), "")
+            assert time.monotonic() - start < 5
 
     def test_http_error(self, scorer_server):
         ScorerHandler.behavior = "error"
