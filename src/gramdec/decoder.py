@@ -14,6 +14,7 @@ tokens, taken in one selection over plain tuples.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -226,35 +227,55 @@ def train_ngram(corpus, order: int, vocab_size: int) -> NgramScorer:
 class HttpScorer(Scorer):
     """Scorer backed by a JSON-over-HTTP service.
 
-    Request: {"conditioning": str, "prefix": [ids]}; response: {"scores":
-    [vocab-size floats]}. Transport failures, non-200 responses and other
-    response bodies raise ScorerError; they are never silently turned into
-    masks.
+    Request: one POST of {"conditioning": str, "prefix": [ids]} as
+    application/json; response: HTTP 200 and {"scores": [vocab-size
+    numbers]}. The URL must be http or https; other schemes are refused
+    before anything is opened, and redirects are not followed. A malformed
+    URL, a transport failure or timeout, any status other than 200 and any
+    other response body raise ScorerError; they are never silently turned
+    into masks.
     """
 
     def __init__(self, url: str, timeout: float = 10.0):
-        import requests
+        # deferred: urllib.request costs every importer of gramdec 6 MB
+        import urllib.parse
+        import urllib.request
 
+        try:
+            scheme = urllib.parse.urlsplit(url).scheme
+        except ValueError as exc:
+            raise ScorerError(f"scorer request failed: {exc}") from None
+        if scheme not in ("http", "https"):
+            raise ScorerError(f"scorer URL must be http or https: {url!r}")
         self.url = url
         self.timeout = timeout
-        self._session = requests.Session()
+        # no redirect or error handler: every reply meets the status check
+        self._opener = urllib.request.OpenerDirector()
+        for handler in (
+            urllib.request.ProxyHandler(),
+            urllib.request.HTTPHandler(),
+            urllib.request.HTTPSHandler(),
+        ):
+            self._opener.add_handler(handler)
 
     def score(self, prefix, conditioning=""):
-        import requests
+        import http.client
+        import urllib.request
 
+        data = json.dumps({"conditioning": conditioning, "prefix": list(prefix)}).encode()
         try:
-            resp = self._session.post(
-                self.url,
-                json={"conditioning": conditioning, "prefix": list(prefix)},
-                timeout=self.timeout,
+            request = urllib.request.Request(
+                self.url, data, {"Content-Type": "application/json"}
             )
-        except requests.RequestException as exc:
+            with self._opener.open(request, timeout=self.timeout) as resp:
+                if resp.status != 200:
+                    raise ScorerError(f"scorer returned HTTP {resp.status}")
+                payload = resp.read()
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise ScorerError(f"scorer request failed: {exc}") from None
-        if resp.status_code != 200:
-            raise ScorerError(f"scorer returned HTTP {resp.status_code}")
         try:
-            body = resp.json()
-        except ValueError as exc:
+            body = json.loads(payload)
+        except (ValueError, RecursionError) as exc:
             raise ScorerError(f"bad scorer response: {exc}") from None
         scores = body.get("scores") if isinstance(body, dict) else None
         if not isinstance(scores, list) or not all(

@@ -3,15 +3,34 @@
 from __future__ import annotations
 
 import json
+import re
+
+# the escape of a surrogate code point: only text holding one is searched
+# for a lone surrogate, which is legal JSON but no Unicode text
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def json_value(text: str, error, what: str):
     """The JSON value of text; raises `error` as "what: reason" when text is
-    not JSON or nests deeper than the parser's recursion limit."""
+    not JSON, nests deeper than the parser's recursion limit or escapes a
+    lone surrogate, which no UTF-8 output can hold."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise error(f"{what}: {exc}") from None
+    if _SURROGATE_ESCAPE.search(text):
+        stack = [value]
+        while stack:  # no recursion: the value may nest to the parser's limit
+            v = stack.pop()
+            if isinstance(v, list):
+                stack += v
+            elif isinstance(v, dict):
+                stack += v
+                stack += v.values()
+            elif isinstance(v, str) and (m := _SURROGATE.search(v)):
+                raise error(f"{what}: lone surrogate {ascii(m.group())}")
+    return value
 
 
 def json_lines(text: str, error):

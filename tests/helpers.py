@@ -368,6 +368,7 @@ BAD_BODIES = {
     "scores-int": b'{"scores": 5}',
     "scores-str": b'{"scores": ["x", "y", "z"]}',
     "scores-null": b'{"scores": [0.0, null, 0.0]}',
+    "deep": b"[" * 100_000,  # deeper than the parser's recursion limit
 }
 
 
@@ -410,7 +411,8 @@ def scorer_server():
     ScorerHandler.behavior = "ok"
     ScorerHandler.last_request = None
     server = HTTPServer(("127.0.0.1", 0), ScorerHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval: shutdown() waits for the next poll
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/"
     server.shutdown()

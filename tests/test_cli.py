@@ -258,6 +258,19 @@ class TestInduceGrammar:
         )
         assert code == 0 and out.strip() == "accepted"
 
+    @pytest.mark.parametrize("out", [False, True])
+    def test_lone_surrogate_symbol(self, capsys, tmp_path, out):
+        # legal JSON, but no UTF-8 text: rejected where the file is read
+        ds = tmp_path / "d.jsonl"
+        ds.write_text(json.dumps({"id": "1", "utterance": "u", "gold": "(n\ud800)", "portion": "train"}))
+        sigs = tmp_path / "s.jsonl"
+        sigs.write_text(json.dumps({"symbol": "n\ud800", "args": [], "result": "Unit"}))
+        argv = ["induce-grammar", "--dataset", str(ds), "--format", "lispress", "--signatures", str(sigs)]
+        if out:
+            argv += ["--out", str(tmp_path / "induced.cfg")]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith(f"error: {sigs}: bad JSON on line 1: lone surrogate")
+
 
 class TestSpecializeSql:
     def test_specialize_then_check(self, capsys, tmp_path):
@@ -740,6 +753,12 @@ class TestBuildPrompt:
         assert data["prompt"].startswith("Let's translate")
         assert data["prompt"].rstrip().endswith("Computer:")
         assert "Human: utt 3\nComputer:" in data["prompt"]
+
+    def test_lone_surrogate_utterance(self, capsys, tmp_path):
+        ds = tmp_path / "d.jsonl"
+        ds.write_text(json.dumps({"id": "1", "utterance": "u \ud800", "gold": "(now)", "portion": "train"}))
+        code, _, err = run(capsys, "build-prompt", "--dataset", str(ds), "--target", "u")
+        assert code == 2 and err.startswith(f"error: {ds}: bad JSON on line 1: lone surrogate")
 
 
 class TestEvaluate:

@@ -2,12 +2,16 @@ import itertools
 import math
 import random
 import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gramdec
 from gramdec.decoder import (
     DecodeConfig,
     HttpScorer,
@@ -418,6 +422,29 @@ class TestHttpScorer:
             with pytest.raises(ScorerError):
                 HttpScorer(url, timeout=5).score((), "")
 
+    def test_redirect_is_not_followed(self, scorer_server):
+        head = f"HTTP/1.1 307 Temporary Redirect\r\nLocation: {scorer_server}\r\n"
+        with raw_server(head.encode() + b"Content-Length: 0\r\n\r\n") as url:
+            with pytest.raises(ScorerError, match="HTTP 307$"):
+                HttpScorer(url, timeout=5).score((), "")
+        assert ScorerHandler.last_request is None
+
+    def test_import_loads_no_http_client(self):
+        script = (
+            "import sys, gramdec, gramdec.cli\n"
+            "print([m for m in ('requests', 'urllib.request', 'http.client') if m in sys.modules])\n"
+        )
+        src = str(Path(gramdec.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], env={"PYTHONPATH": src}, capture_output=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr.decode()[-500:]
+        assert done.stdout.decode().strip() == "[]"
+
+    def test_round_trip_without_requests(self, scorer_server, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)  # import requests fails
+        assert len(HttpScorer(scorer_server).score((1,), "ctx")) == 3
+
     def test_silent_server_times_out(self):
         with raw_server(None) as url:
             start = time.monotonic()
@@ -435,7 +462,7 @@ class TestHttpScorer:
         with pytest.raises(ScorerError):
             HttpScorer(scorer_server).score((), "")
 
-    @pytest.mark.parametrize("behavior", ["list", "scores-int", "scores-str", "scores-null"])
+    @pytest.mark.parametrize("behavior", ["list", "scores-int", "scores-str", "scores-null", "deep"])
     def test_scores_not_a_list_of_numbers(self, scorer_server, behavior):
         ScorerHandler.behavior = behavior
         with pytest.raises(ScorerError):
