@@ -372,7 +372,7 @@ def _reply(status: str, body: bytes, length=None) -> bytes:
     return head.encode() + b"Connection: close\r\n\r\n" + body
 
 
-# a body every check but its own fault would accept
+# a valid body: a reply carrying it fails by its own fault alone
 SCORES = b'{"scores": [0.0, 0.0, 0.0]}'
 
 
