@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -249,3 +251,55 @@ class TestAggregateLow:
     def test_requires_three(self):
         with pytest.raises(EvaluationError):
             aggregate_low([0.1, 0.2])
+
+
+def random_dataset(seed, n_train, n_dev, n_test):
+    """Shuffled records: about a third outside any dialogue, the rest in
+    dialogues drawn at random, some of them spanning portions."""
+    rng = random.Random(seed)
+    n_dialogues = max(1, (n_train + n_dev) // 3)
+    out = []
+    for portion, count in (("train", n_train), ("dev", n_dev), ("test", n_test)):
+        for i in range(count):
+            did = "" if rng.random() < 0.3 else f"d{rng.randrange(n_dialogues)}"
+            out.append(
+                DatasetExample(id=f"{portion}-{i}", utterance="", gold="", dialogue_id=did, portion=portion)
+            )
+    rng.shuffle(out)
+    return out
+
+
+# Datasets that reach each path of make_splits: (train, dev, test) sizes.
+PIN_CASES = {
+    "disjoint-low": (2000, 200, 300),
+    "independent-low": (900, 100, 150),
+    "medium": (5200, 600, 2300),
+    "dev-becomes-test": (1800, 250, 0),
+    "dev-becomes-test-independent": (700, 90, 0),
+    "train-too-small": (400, 100, 100),
+    "no-dev": (900, 0, 100),
+    "no-test-or-dev": (900, 0, 0),
+}
+PIN_HASHES = {
+    "dev-becomes-test": "3efd4542b8554df5",
+    "dev-becomes-test-independent": "1cb76ff749e2bb03",
+    "disjoint-low": "6a675cbaf5beb746",
+    "independent-low": "a624f8f1d792ca25",
+    "medium": "29f3e1927d9f3918",
+    "no-dev": "9d5a5156ee528fed",
+    "no-test-or-dev": "0cbbd1bc48c479fa",
+    "train-too-small": "ed0f7475d83e1ccf",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIN_CASES))
+def test_manifests_are_pinned(case):
+    # manifests (or error messages) for seeds 0, 1 and 7, hashed
+    digest = hashlib.sha256()
+    for seed in (0, 1, 7):
+        try:
+            text = make_splits(random_dataset(seed, *PIN_CASES[case]), seed).to_manifest()
+        except SplitError as exc:
+            text = f"error: {exc}"
+        digest.update(text.encode())
+    assert digest.hexdigest()[:16] == PIN_HASHES[case]
