@@ -144,16 +144,19 @@ def _prefix_state(args):
     return state
 
 
-def _write_grammar(args, g):
-    """Print g's text, or write it to --out and report that."""
-    text = serialize_grammar(g)
+def _print_or_write(args, text: str, **counts):
+    """Print text, or write it to --out and report that with counts."""
     if not args.out:
         sys.stdout.write(text)
         return 0
     _write(args.out, text)
-    n = len(g.productions)
-    _emit(args, {"out": args.out, "productions": n}, f"wrote {args.out} ({n} productions)")
+    notes = "".join(f" ({n} {name})" for name, n in counts.items())
+    _emit(args, {"out": args.out, **counts}, f"wrote {args.out}{notes}")
     return 0
+
+
+def _write_grammar(args, g):
+    return _print_or_write(args, serialize_grammar(g), productions=len(g.productions))
 
 
 def positive_int(text) -> int:
@@ -227,6 +230,8 @@ def _cmd_induce_grammar(args):
             args.dataset,
         )
         grammar = induce_lispress_grammar(typed, sigs, root_type=args.root_type)
+    elif args.signatures is not None or args.root_type is not None:
+        raise UsageError("--signatures and --root-type are for lispress induction only")
     else:
         grammar = induce_mtop_grammar(_load(lambda text: _golds(text, parse_mtop), args.dataset))
     return _write_grammar(args, grammar)
@@ -242,13 +247,6 @@ def _cmd_specialize_sql(args):
 
 
 def _cmd_decode(args):
-    if args.unconstrained:
-        if args.grammar is not None:
-            raise UsageError("--grammar and --unconstrained exclude each other")
-    elif args.grammar is None:
-        raise UsageError("--grammar is required unless --unconstrained")
-    if (args.url is None) == (args.ngram_corpus is None):
-        raise UsageError("give one scorer: --url or --ngram-corpus")
     vocab = _load(load_vocab_jsonl, args.vocab)
     grammar = None if args.unconstrained else _load(_parse_grammar_file, args.grammar)
     cfg = DecodeConfig(beam_size=args.beam, max_tokens=args.max_tokens)
@@ -268,13 +266,7 @@ def _cmd_decode(args):
 
 def _cmd_make_splits(args):
     spec = _load(lambda text: make_splits(load_dataset_jsonl(text), seed=args.seed), args.dataset)
-    manifest = spec.to_manifest()
-    if args.out:
-        _write(args.out, manifest)
-        _emit(args, {"out": args.out}, f"wrote {args.out}")
-    else:
-        sys.stdout.write(manifest)
-    return 0
+    return _print_or_write(args, spec.to_manifest())
 
 
 def _cmd_build_prompt(args):
@@ -304,8 +296,10 @@ def _cmd_build_prompt(args):
 
 
 def _cmd_evaluate(args):
-    if not (args.aggregate or args.predictions and args.dataset):
-        raise UsageError("evaluate needs --predictions/--dataset or --aggregate")
+    if (args.predictions is None) != (args.dataset is None):
+        raise UsageError("--predictions and --dataset go together")
+    if args.aggregate and args.out is not None:
+        raise UsageError("--out goes with --predictions, not --aggregate")
     if args.aggregate:
         reports = [_load(MetricReport.from_json, path) for path in args.aggregate]
         mean, std = aggregate_low(reports)
@@ -377,14 +371,16 @@ def _build_parser():
     p.add_argument("--out")
 
     p = command("decode", _cmd_decode, "constrained beam search")
-    p.add_argument("--grammar")
+    constraint = p.add_mutually_exclusive_group(required=True)
+    constraint.add_argument("--grammar")
+    constraint.add_argument("--unconstrained", action="store_true", help="decode without a grammar")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--url", help="scorer endpoint: score with HttpScorer")
-    p.add_argument("--ngram-corpus", help="JSONL of token-id lists: score with an n-gram model")
+    scorer = p.add_mutually_exclusive_group(required=True)
+    scorer.add_argument("--url", help="scorer endpoint: score with HttpScorer")
+    scorer.add_argument("--ngram-corpus", help="JSONL of token-id lists: score with an n-gram model")
     p.add_argument("--ngram-order", type=int, choices=range(1, 6), default=2)
     p.add_argument("--beam", type=positive_int, default=5)
     p.add_argument("--max-tokens", type=positive_int, default=128)
-    p.add_argument("--unconstrained", action="store_true", help="decode without a grammar")
     p.add_argument("--input", help="conditioning string")
     p.add_argument("--out")
 
@@ -404,15 +400,16 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
 
     p = command("evaluate", _cmd_evaluate, "score predictions against gold")
-    p.add_argument("--predictions")
-    p.add_argument("--dataset")
-    p.add_argument("--metric", default="exact")
-    p.add_argument(
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--predictions")
+    mode.add_argument(
         "--aggregate",
         nargs=3,
         metavar="REPORT",
         help="three report JSON files to aggregate instead",
     )
+    p.add_argument("--dataset")
+    p.add_argument("--metric", default="exact")
     p.add_argument("--out")
 
     return parser, sub.choices

@@ -118,13 +118,7 @@ class Grammar:
 
     @property
     def nonterminals(self):
-        out = []
-        seen = set()
-        for p in self.productions:
-            if p.lhs not in seen:
-                seen.add(p.lhs)
-                out.append(p.lhs)
-        return out
+        return list(dict.fromkeys(p.lhs for p in self.productions))
 
     def __eq__(self, other):
         return (
@@ -384,14 +378,15 @@ def enumerate_language(g: Grammar, max_len: int, limit: int = _ENUM_LIMIT) -> se
                 if s.kind == TERMINAL:
                     pieces = [s.text]
                 elif s.kind == CHARCLASS:
-                    pieces = sorted(s.chars)
+                    pieces = s.chars
                 else:
-                    pieces = lang[s.name]
+                    pieces = sorted(lang[s.name], key=len)  # shortest first
                 for left in partial:
                     room = max_len - len(left)
                     for piece in pieces:
-                        if len(piece) <= room:
-                            nxt.add(left + piece)
+                        if len(piece) > room:
+                            break
+                        nxt.add(left + piece)
                 partial = nxt
                 if not partial:
                     break

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import PromptError
 from .sql import render_schema
@@ -97,26 +99,12 @@ class _Bm25Index:
         self.avgdl = sum(self.lengths) / self.n if docs else 0.0
         self.postings: dict = {}
         for i, d in enumerate(docs):
-            tf: dict = {}
-            for t in d:
-                tf[t] = tf.get(t, 0) + 1
-            for t, f in tf.items():
+            for t, f in Counter(d).items():
                 self.postings.setdefault(t, []).append((i, f))
 
 
-# (pool contents, index) of the last pool scored: retrieval scores many
-# queries against one pool.
-_last_index = ((), _Bm25Index(()))
-
-
-def _index(pool) -> _Bm25Index:
-    global _last_index
-    key = tuple(pool)
-    cached_key, index = _last_index
-    if key != cached_key:
-        index = _Bm25Index(key)
-        _last_index = (key, index)
-    return index
+# retrieval scores many queries against one pool: keep the last pool's index
+_index = lru_cache(maxsize=1)(_Bm25Index)
 
 
 def bm25_scores(query: str, pool, k1: float = 1.2, b: float = 0.75):
@@ -126,7 +114,7 @@ def bm25_scores(query: str, pool, k1: float = 1.2, b: float = 0.75):
     Each document adds its query terms' contributions in query order, a
     repeated query term once per occurrence.
     """
-    index = _index(pool)
+    index = _index(tuple(pool))
     n, lengths, avgdl = index.n, index.lengths, index.avgdl
     scores = [0.0] * n
     for t in _terms(query):

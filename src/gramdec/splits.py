@@ -138,15 +138,22 @@ class SplitSpec:
 def _dialogue_groups(examples):
     """Group ids by dialogue; non-dialogue examples are singleton groups.
     Order follows first appearance, so results depend only on input order."""
-    groups = []
-    index = {}
+    groups = {}
     for ex in examples:
-        key = ex.dialogue_id or f"\x00{ex.id}"
-        if key not in index:
-            index[key] = len(groups)
-            groups.append([])
-        groups[index[key]].append(ex.id)
-    return groups
+        groups.setdefault(ex.dialogue_id or f"\x00{ex.id}", []).append(ex.id)
+    return list(groups.values())
+
+
+def _take(groups, order, target):
+    """The ids of the groups that `order` names, whole groups, until there
+    are at least `target` (> 0) of them or `order` runs out. An iterator
+    `order` is left at the first group not taken."""
+    out = []
+    for gi in order:
+        out.extend(groups[gi])
+        if len(out) >= target:
+            break
+    return out
 
 
 def _sample_groups(groups, target, rng):
@@ -154,12 +161,7 @@ def _sample_groups(groups, target, rng):
     the final dialogue, never by a whole extra one."""
     order = list(range(len(groups)))
     rng.shuffle(order)
-    out = []
-    for gi in order:
-        if len(out) >= target:
-            break
-        out.extend(groups[gi])
-    return out
+    return _take(groups, order, target)
 
 
 def make_splits(dataset, seed: int = 0) -> SplitSpec:
@@ -206,22 +208,16 @@ def make_splits(dataset, seed: int = 0) -> SplitSpec:
 
     # Three low train sets: mutually disjoint when the pool allows, for
     # cleaner variance estimates; independently sampled otherwise.
-    low_train = []
     if n_train >= 3 * LOW_TRAIN_SIZE:
         order = list(range(len(train_groups)))
-        rng_low = random.Random(f"{seed}:low")
-        rng_low.shuffle(order)
-        gi = 0
-        for _ in range(3):
-            ids = []
-            while len(ids) < LOW_TRAIN_SIZE and gi < len(order):
-                ids.extend(train_groups[order[gi]])
-                gi += 1
-            low_train.append(ids)
+        random.Random(f"{seed}:low").shuffle(order)
+        rest = iter(order)
+        low_train = [_take(train_groups, rest, LOW_TRAIN_SIZE) for _ in range(3)]
     else:
-        for i in range(3):
-            rng_i = random.Random(f"{seed}:low:{i}")
-            low_train.append(_sample_groups(train_groups, LOW_TRAIN_SIZE, rng_i))
+        low_train = [
+            _sample_groups(train_groups, LOW_TRAIN_SIZE, random.Random(f"{seed}:low:{i}"))
+            for i in range(3)
+        ]
 
     low_dev = _sample_groups(dev_groups, LOW_DEV_SIZE, random.Random(f"{seed}:lowdev"))
     med_dev = _sample_groups(dev_groups, MED_DEV_SIZE, random.Random(f"{seed}:meddev"))

@@ -196,6 +196,13 @@ class TestInduceGrammar:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag,value", [("--signatures", "/nope.jsonl"), ("--root-type", "Unit")])
+    def test_mtop_refuses_lispress_flags(self, capsys, tmp_path, flag, value):
+        ds = tmp_path / "d.jsonl"
+        ds.write_text(json.dumps({"id": "1", "utterance": "u", "gold": "[IN:A a]", "portion": "train"}))
+        code, out, err = run(capsys, "induce-grammar", "--dataset", str(ds), "--format", "mtop", flag, value)
+        assert code == 1 and not out and flag in err
+
     def test_lispress(self, capsys, tmp_path):
         ds = tmp_path / "d.jsonl"
         ds.write_text(
@@ -379,7 +386,7 @@ class TestDecode:
         both = ["--url", "http://127.0.0.1:9/", "--ngram-corpus", str(corpus)]
         for scorer in ([], both):  # neither, or both
             code, _, err = run(capsys, *argv, *scorer)
-            assert code == 1 and "--url or --ngram-corpus" in err
+            assert code == 1 and "--url" in err and "--ngram-corpus" in err
 
     def test_url(self, capsys, tmp_path, grammar_file, scorer_server):
         # the server scores a 3-token vocabulary, a little higher for "a"
@@ -420,7 +427,7 @@ class TestDecode:
         corpus.write_text("[1, 0, 3]\n")
         argv = ["decode", "--vocab", vocab_file, "--ngram-corpus", str(corpus), "--beam", "1"]
         code, _, err = run(capsys, *argv)  # constrained by default
-        assert code == 1 and "--grammar is required" in err
+        assert code == 1 and "--grammar --unconstrained is required" in err
         code, out, _ = run(capsys, *argv, "--unconstrained")
         assert code == 0 and [r["text"] for r in json.loads(out)] == ["ba"]
         cfg = tmp_path / "cfg.json"
@@ -429,7 +436,7 @@ class TestDecode:
         assert code == 0 and from_config == out
         # a grammar that would be dropped is an error
         code, _, err = run(capsys, *argv, "--unconstrained", "--grammar", "/nope.cfg")
-        assert code == 1 and "exclude each other" in err
+        assert code == 1 and "--grammar: not allowed with argument --unconstrained" in err
 
 
 class TestConfig:
@@ -876,6 +883,27 @@ class TestEvaluate:
     def test_needs_inputs(self, capsys):
         code, _, _ = run(capsys, "evaluate")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--aggregate", "{r}", "{r}", "{r}", "--predictions", "{p}", "--dataset", "{d}"], "--predictions"),
+            (["--aggregate", "{r}", "{r}", "{r}", "--dataset", "{d}"], "--dataset"),
+            (["--aggregate", "{r}", "{r}", "{r}", "--out", "{o}"], "--out"),
+            (["--predictions", "{p}"], "--dataset"),
+        ],
+        ids=["aggregate-predictions", "aggregate-dataset", "aggregate-out", "predictions-alone"],
+    )
+    def test_refused_combinations(self, capsys, tmp_path, argv, flag):
+        # every input is valid: only the combination of flags is refused
+        paths = {"r": tmp_path / "r.json", "p": tmp_path / "p.jsonl", "d": tmp_path / "d.jsonl"}
+        paths["r"].write_text(MetricReport("exact", 0.5, 2, []).to_json())
+        paths["p"].write_text(json.dumps({"id": "a", "prediction": "(f)"}))
+        paths["d"].write_text(json.dumps({"id": "a", "gold": "(f)", "portion": "test"}))
+        paths["o"] = tmp_path / "out.json"
+        code, out, err = run(capsys, "evaluate", *[a.format(**paths) for a in argv])
+        assert code == 1 and not out and flag in err
+        assert not paths["o"].exists()
 
     def test_json_error_channel(self, capsys):
         code, _, err = run(
