@@ -323,17 +323,20 @@ def reference_decode(scorer, grammar, vocab, cfg, trie):
 
 
 class SeededScorer(Scorer):
-    """Scores drawn per prefix from a few values, so totals tie often."""
+    """Scores drawn per prefix from a few values, so totals tie often;
+    `first` is added to every score of the first step."""
 
     VALUES = (0.0, -0.1, -0.2, -0.3, -0.5, -1.0, -1.0, -2.5)
 
-    def __init__(self, size, seed):
+    def __init__(self, size, seed, first=0.0):
         self.size = size
         self.seed = seed
+        self.first = first
 
     def score(self, prefix, conditioning=""):
         rng = random.Random(f"{self.seed}:{list(prefix)}")
-        return [rng.choice(self.VALUES) for _ in range(self.size)]
+        base = 0.0 if prefix else self.first
+        return [base + rng.choice(self.VALUES) for _ in range(self.size)]
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -353,6 +356,54 @@ def test_decode_matches_full_sort_reference(g, data):
         max_tokens=data.draw(st.integers(1, 6)),
     )
     grammar = g if data.draw(st.booleans()) else None
+    want = reference_decode(scorer, grammar, vocab, cfg, trie)
+    if not want:
+        with pytest.raises(NoViableHypothesisError):
+            decode(scorer, grammar, vocab, cfg, trie=trie)
+        return
+    got = decode(scorer, grammar, vocab, cfg, trie=trie)
+    assert [(r.text, r.logprob.hex(), r.tokens) for r in got] == [
+        (text, logprob.hex(), tokens) for text, logprob, tokens in want
+    ]
+
+
+# every token without a newline is legal at every step
+ANY_LINE = reduce(parse_grammar('S -> [^\\n] S | ""'))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(["any line", "drawn", "unconstrained"]), st.data())
+def test_large_vocabulary_decode_matches_full_sort_reference(kind, data):
+    # a few hundred tokens, so one step's mask can hold hundreds of ids;
+    # after a first step at about -1e16 (whose ulp is 2) a step's totals
+    # round together, and the lower token id must win
+    if kind == "drawn":
+        g = data.draw(grammars(loops=True))
+        try:
+            init_state(g)
+        except EmptyLanguageError:
+            assume(False)
+        alphabet = grammar_alphabet(g) | set("ab")
+    else:
+        g = ANY_LINE
+        alphabet = set("ab")
+    alphabet = sorted(alphabet | {data.draw(CHARS)})
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    size = data.draw(st.integers(150, 400))
+    tokens = set()
+    for _ in range(20 * size):
+        if len(tokens) == size:
+            break
+        tokens.add("".join(rng.choices(alphabet, k=rng.randint(1, 8))))
+    vocab = make_vocab(sorted(tokens))
+    trie = build_trie(vocab)
+    first = data.draw(st.sampled_from([0.0, -1e16]))
+    scorer = SeededScorer(vocab.size, data.draw(st.integers(0, 2**16)), first)
+    cfg = DecodeConfig(
+        beam_size=data.draw(st.sampled_from([1, 1, 2, 3, 4, 5])),
+        max_tokens=data.draw(st.integers(2, 6)),
+    )
+    grammar = None if kind == "unconstrained" else g
     want = reference_decode(scorer, grammar, vocab, cfg, trie)
     if not want:
         with pytest.raises(NoViableHypothesisError):
