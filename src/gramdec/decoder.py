@@ -8,7 +8,19 @@ dropped at the token budget rather than returned truncated.
 
 A step reads each hypothesis's legal scores in one pass and checks them
 with one sum; the next beam is the best beam_size of all hypotheses' legal
-tokens, taken in one selection over plain tuples.
+tokens, taken in one selection over (cost, token id, slot) tuples.
+
+A greedy step (beam_size 1) builds those tuples only for the tokens that
+can win it: those whose score is at least
+cut - 2 * (ulp(logprob + cut) + ulp(cut)), cut being the best legal score,
+found in one pass. This keeps every token whose total ties the best: a
+float sum is monotone in each addend, and two exact sums that round to the
+same total T lie within ulp(T) of each other, so a tying float score is at
+least cut - ulp(T). An int score beyond 2**53 is rounded to a float before
+it is added, by up to half an ulp of itself, which the ulp(cut) term
+covers. An overflowing total makes the bound -inf and keeps every token.
+The selection among the kept tokens, ties by token id included, is the
+same as among all of them.
 """
 
 from __future__ import annotations
@@ -17,8 +29,8 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import add, neg
+from itertools import chain, compress, repeat
+from operator import add, ge, neg
 
 from .earley import init_state
 from .errors import NoViableHypothesisError, ScorerError, VocabularyError
@@ -30,8 +42,9 @@ class Scorer:
     """Contract: score(prefix, conditioning) returns one log-score per
     vocabulary id, deterministically. Scores must be finite for the tokens
     that are legal at that step, and only those are checked (every id is
-    legal when unconstrained). Implementations must tolerate concurrent
-    calls or document serialized access."""
+    legal when unconstrained); an int too large for a float is not finite.
+    Implementations must tolerate concurrent calls or document serialized
+    access."""
 
     def score(self, prefix: tuple, conditioning: str):
         raise NotImplementedError
@@ -43,10 +56,10 @@ class DecodeConfig:
     max_tokens: int = 128
 
     def __post_init__(self):
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
+        for name in ("beam_size", "max_tokens"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, not {value!r}")
 
 
 @dataclass
@@ -72,6 +85,14 @@ def _checked_scores(scorer, prefix, conditioning, size):
     return scores
 
 
+def _is_finite(x):
+    """math.isfinite, and False for an int too large for a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def decode(
     scorer: Scorer,
     grammar: Grammar | None,
@@ -83,10 +104,11 @@ def decode(
     """Beam search; returns DecodeResults sorted best-first.
 
     Decoding is constrained exactly when a grammar is given, and a given
-    trie must be built for a vocabulary equal to `vocab`. Ties on equal
-    score break by lexicographic token-id order, then beam slot, so runs
-    are deterministic. Scores are exact sums of the chosen per-step
-    log-scores.
+    trie must be built for a vocabulary equal to `vocab`. Within a step,
+    candidates of equal total break ties by the lower token id, then the
+    lower beam slot; the results are sorted by score, then by their token
+    ids in lexicographic order. So runs are deterministic. Scores are
+    exact sums of the chosen per-step log-scores.
     """
     constrained = grammar is not None
     if constrained:
@@ -101,6 +123,7 @@ def decode(
     active = [Hypothesis(tokens=(), logprob=0.0, state=root)]
     finished = []
     eos = vocab.eos_id
+    greedy = cfg.beam_size == 1
 
     step = 0
     while step < cfg.max_tokens:
@@ -115,12 +138,23 @@ def decode(
             else:
                 legal = range(vocab.size)
             vals = list(map(scores.__getitem__, legal))
-            # One pass over the sum; only a non-finite sum (a non-finite
-            # score, or finite ones that overflow) takes the per-token check.
-            if not math.isfinite(sum(vals)):
+            # One pass over the sum; only a sum that is not a finite float (a
+            # non-finite score, an int too large for a float, or finite ones
+            # that overflow) takes the per-token check.
+            try:
+                finite = math.isfinite(sum(vals))
+            except OverflowError:
+                finite = False
+            if not finite:
                 for tid, s in zip(legal, vals):
-                    if not math.isfinite(s):
+                    if not _is_finite(s):
                         raise ScorerError(f"non-finite score for token {tid}")
+            if greedy and vals:
+                # only the tokens that can tie the best total (module docstring)
+                cut = max(vals)
+                lo = cut - 2 * (math.ulp(hyp.logprob + cut) + math.ulp(cut))
+                legal = list(compress(legal, map(ge, vals, repeat(lo))))
+                vals = list(map(scores.__getitem__, legal))
             totals = map(add, repeat(hyp.logprob), vals)
             streams.append(zip(map(neg, totals), legal, repeat(slot)))
         best = heapq.nsmallest(cfg.beam_size, chain.from_iterable(streams))

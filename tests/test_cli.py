@@ -16,7 +16,7 @@ from gramdec.splits import MetricReport, load_dataset_jsonl, load_predictions_js
 from gramdec.sql import load_schema_json
 from gramdec.tokens import load_vocab_jsonl
 
-from helpers import ScorerHandler, grammar_texts
+from helpers import ScorerHandler, grammar_texts, raw_server
 from helpers import scorer_server  # noqa: F401  (a fixture)
 
 ANBN = '@start S\nS -> "a" S "b"\nS -> ""\n'
@@ -403,6 +403,16 @@ class TestDecode:
         ScorerHandler.behavior = "error"
         code, _, err = run(capsys, *argv)
         assert code == 2 and "HTTP 500" in err
+
+    def test_url_score_too_large_for_a_float(self, capsys, tmp_path, grammar_file):
+        vocab = tmp_path / "v.jsonl"
+        vocab.write_text('{"eos": 2}\n{"id": 0, "text": "a"}\n{"id": 1, "text": "b"}\n{"id": 2, "text": ""}\n')
+        body = b'{"scores": [1' + b"0" * 400 + b", 0.0, 0.0]}"
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+        with raw_server(reply) as url:
+            argv = ["decode", "--grammar", grammar_file, "--vocab", str(vocab), "--url", url]
+            code, _, err = run(capsys, *argv)
+        assert code == 2 and "non-finite score for token 0" in err
 
     def test_config_defaults(self, capsys, tmp_path, grammar_file, vocab_file):
         corpus = tmp_path / "c.jsonl"

@@ -255,6 +255,18 @@ class TestDecode:
         cfg = DecodeConfig(beam_size=1, max_tokens=2)
         assert decode(scorer, None, vocab, cfg)[0].tokens == (0, 1)
 
+    def test_rounded_int_scores_tie_by_token_id(self):
+        # ints beyond 2**53 round on their way into the float total: after
+        # 2**60 both continuations total 0.0, so the lower token id wins
+        # although its own score is lower
+        vocab = make_vocab(["a", "b"])
+        scorer = TableScorer(
+            vocab.size, {(): [2**60, -10.0, -10.0], (0,): [-(2**60) - 1, -(2**60) + 1, -(10**30)]}
+        )
+        for beam in (1, 2):
+            best = decode(scorer, None, vocab, DecodeConfig(beam_size=beam, max_tokens=2))[0]
+            assert (best.tokens, best.logprob) == ((0, 0), 0.0)
+
     def test_non_finite_masked_out_scores_are_ignored(self):
         # "b" is not legal first, and eos is not legal after "a" or "aa"
         vocab = make_vocab(["a", "b"])
@@ -277,6 +289,21 @@ class TestDecode:
         with pytest.raises(ScorerError, match="token 0$"):
             decode(TableScorer(vocab.size, table), g, vocab, DecodeConfig(beam_size=2))
 
+    @pytest.mark.parametrize("beam", [1, 2])
+    def test_int_score_too_large_for_a_float(self, beam):
+        # "b" is not legal first, so a score there is ignored; at a legal
+        # id an int beyond float range is not finite, alone or summed with
+        # floats
+        vocab = make_vocab(["a", "b"])
+        huge = 10**400
+        cfg = DecodeConfig(beam_size=beam, max_tokens=5)
+        masked = TableScorer(vocab.size, {(): [-2.0, huge, -0.1]})
+        plain = TableScorer(vocab.size, {(): [-2.0, -3.0, -0.1]})
+        assert decode(masked, ANBN, vocab, cfg) == decode(plain, ANBN, vocab, cfg)
+        for row in ([-0.1, -3.0, -huge], [-1, -3, huge]):
+            with pytest.raises(ScorerError, match="token 2$"):
+                decode(TableScorer(vocab.size, {(): row}), ANBN, vocab, cfg)
+
     def test_finite_scores_whose_sum_overflows(self):
         vocab = make_vocab(["a", "b"])
         scorer = TableScorer(vocab.size, {(): [-1e308] * vocab.size})
@@ -289,6 +316,12 @@ class TestDecode:
             DecodeConfig(beam_size=0)
         with pytest.raises(ValueError):
             DecodeConfig(max_tokens=0)
+        # 2.5 tokens would decode 3, and a 2.5 beam would fail inside heapq
+        for bad in (2.5, 2.0, True, "2", None):
+            with pytest.raises(ValueError, match="beam_size must be an int"):
+                DecodeConfig(beam_size=bad)
+            with pytest.raises(ValueError, match="max_tokens must be an int"):
+                DecodeConfig(max_tokens=bad)
 
 
 def reference_decode(scorer, grammar, vocab, cfg, trie):
