@@ -85,30 +85,37 @@ class TestNgram:
         with pytest.raises(ValueError):
             train_ngram([[0, -1, 2]], order=2, vocab_size=3)
 
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(
         st.integers(1, 6).flatmap(
             lambda v: st.tuples(
                 st.just(v),
                 st.lists(st.lists(st.integers(0, v - 1), max_size=6), min_size=1, max_size=5),
-                st.lists(st.integers(0, v - 1), max_size=4),
+                st.lists(st.integers(0, 9), max_size=4),
+                st.lists(st.integers(0, v - 1), max_size=7),
             )
         ),
-        st.integers(1, 4),
+        st.integers(1, 5),
     )
     def test_scores_equal_the_add_one_formula(self, draw, order):
-        vocab_size, corpus, prefix = draw
+        vocab_size, corpus, repeats, prefix = draw
+        # repeated sequences count once per occurrence
+        corpus = corpus + [corpus[r % len(corpus)] for r in repeats]
         scorer = train_ngram(corpus, order, vocab_size=vocab_size)
         k = order - 1
-        ctx = ((-1,) * k + tuple(prefix))[len(prefix) :]
-        counts = [0] * vocab_size
-        for seq in corpus:
-            padded = (-1,) * k + tuple(seq)
-            for i in range(k, len(padded)):
-                if padded[i - k : i] == ctx:
-                    counts[padded[i]] += 1
-        denom = sum(counts) + vocab_size
-        assert scorer.score(prefix) == [math.log((c + 1) / denom) for c in counts]
+        # every prefix of `prefix`: shorter and longer than the context, and
+        # contexts never seen in training
+        for n in range(len(prefix) + 1):
+            ctx = ((-1,) * k + tuple(prefix[:n]))[n:]
+            counts = [0] * vocab_size
+            for seq in corpus:
+                padded = (-1,) * k + tuple(seq)
+                for i in range(k, len(padded)):
+                    if padded[i - k : i] == ctx:
+                        counts[padded[i]] += 1
+            denom = sum(counts) + vocab_size
+            want = [math.log((c + 1) / denom).hex() for c in counts]
+            assert [s.hex() for s in scorer.score(prefix[:n])] == want, (ctx, corpus)
 
 
 class TestDecode:

@@ -146,6 +146,25 @@ def test_bm25_matches_reference_bit_for_bit(pool, queries, changed, replacement,
     check()
 
 
+# a few distinct documents, empty ones among them, drawn with repeats, so
+# that equal scores are common
+_TIED_POOLS = st.lists(_DOCS, min_size=1, max_size=3).flatmap(
+    lambda docs: st.lists(st.sampled_from(docs + [""]), max_size=12)
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    _TIED_POOLS,
+    st.lists(st.one_of(_DOCS, st.just("zzz nothing")), min_size=1, max_size=3),
+)
+def test_bm25_rank_breaks_ties_by_pool_order(pool, queries):
+    for query in queries:
+        s = reference_bm25_scores(query, pool)
+        want = sorted(range(len(pool)), key=lambda i: (-s[i], i))
+        assert bm25_rank(query, pool) == want, (query, pool)
+
+
 SCHEMA = DbSchema([DbTable("head", [DbColumn("born_state"), DbColumn("age")])])
 
 
@@ -305,3 +324,47 @@ class TestBuildPrompt:
             PromptExample(uc="", p="(x)", relevance=0.0)
         with pytest.raises(PromptError):
             PromptExample(uc="u", p="(x)", relevance=math.inf)
+
+
+def reference_build_prompt(examples, target, order, budget, max_examples, seed):
+    """build_prompt with the examples ranked as index tuples (-relevance, i)."""
+    used = whitespace_tokens(f"{HEADER}\nHuman: {target}\nComputer:")
+    ranked = sorted(range(len(examples)), key=lambda i: (-examples[i].relevance, i))
+    included = []
+    for i in ranked[:max_examples]:
+        ex = examples[i]
+        used += whitespace_tokens(f"Human: {ex.uc}\nComputer: {ex.p}")
+        if used > budget:
+            break
+        included.append(ex)
+    if order == "best_last":
+        included.reverse()
+    elif order == "random":
+        random.Random(seed).shuffle(included)
+    blocks = [f"Human: {ex.uc}\nComputer: {ex.p}" for ex in included]
+    return "\n".join([HEADER, *blocks, f"Human: {target}", "Computer:"]), included
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, -0.0, 1.0, 0.5, -2.0]),
+            st.lists(st.sampled_from(["a", "b c", "d e f"]), max_size=3),
+        ),
+        max_size=12,
+    ),
+    st.integers(0, 40),
+    st.integers(0, 12),
+    st.integers(0, 3),
+)
+def test_build_prompt_matches_index_tuple_reference(drawn, spare, max_examples, seed):
+    budget = whitespace_tokens(f"{HEADER}\nHuman: t\nComputer:") + spare
+    # distinct inputs, so a reordering of tied examples shows in the text
+    exs = [pe(f"u{i} " + " ".join(words), rel=rel) for i, (rel, words) in enumerate(drawn)]
+    for order in ("best_first", "best_last", "random"):
+        prompt = build_prompt(exs, "t", order=order, budget=budget,
+                              max_examples=max_examples, seed=seed)
+        text, included = reference_build_prompt(exs, "t", order, budget, max_examples, seed)
+        assert prompt.text == text
+        assert [id(e) for e in prompt.examples] == [id(e) for e in included]
