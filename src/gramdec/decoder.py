@@ -76,15 +76,6 @@ class DecodeResult:
     tokens: tuple
 
 
-def _checked_scores(scorer, prefix, conditioning, size):
-    scores = scorer.score(prefix, conditioning)
-    if len(scores) != size:
-        raise ScorerError(
-            f"scorer returned {len(scores)} scores for vocabulary of {size}"
-        )
-    return scores
-
-
 def _is_finite(x):
     """math.isfinite, and False for an int too large for a float."""
     try:
@@ -132,7 +123,11 @@ def decode(
         # slot.
         streams = []
         for slot, hyp in enumerate(active):
-            scores = _checked_scores(scorer, hyp.tokens, conditioning, vocab.size)
+            scores = scorer.score(hyp.tokens, conditioning)
+            if len(scores) != vocab.size:
+                raise ScorerError(
+                    f"scorer returned {len(scores)} scores for vocabulary of {vocab.size}"
+                )
             if constrained:
                 legal = allowed_tokens(hyp.state, trie)
             else:
@@ -203,23 +198,23 @@ _BOS = -1
 
 
 class NgramScorer(Scorer):
-    """Add-one-smoothed n-gram language model over token ids.
+    """Add-one-smoothed n-gram language model over token ids; train_ngram
+    makes one.
 
     Contexts are the last order-1 ids, left-padded with a BOS marker;
-    conditioning text is ignored (the model is unconditional).
+    conditioning text is ignored (the model is unconditional). One table
+    maps each context seen in training to the counts of its next token
+    ids; a context's total is the sum of those counts.
     """
 
-    def __init__(self, order: int, vocab_size: int, context_counts, context_totals):
+    def __init__(self, order: int, vocab_size: int, counts):
         self.order = order
         self.vocab_size = vocab_size
-        self._counts = context_counts  # ctx tuple -> {token id: count}
-        self._totals = context_totals  # ctx tuple -> total count
+        self._counts = counts  # ctx tuple -> {next token id: count}
 
     def score(self, prefix, conditioning=""):
-        ctx = self._context(prefix)
-        counts = self._counts.get(ctx, {})
-        total = self._totals.get(ctx, 0)
-        denom = total + self.vocab_size
+        counts = self._counts.get(self._context(prefix), {})
+        denom = sum(counts.values()) + self.vocab_size
         scores = [math.log(1 / denom)] * self.vocab_size
         for t, c in counts.items():
             scores[t] = math.log((c + 1) / denom)
@@ -234,7 +229,8 @@ class NgramScorer(Scorer):
 
 
 def train_ngram(corpus, order: int, vocab_size: int) -> NgramScorer:
-    """Fit an add-one n-gram scorer on token-id sequences (eos included).
+    """Fit an add-one n-gram scorer on token-id sequences (eos included),
+    counting each context's next ids once per occurrence.
 
     Every id must lie in [0, vocab_size); others raise ValueError.
     """
@@ -244,18 +240,15 @@ def train_ngram(corpus, order: int, vocab_size: int) -> NgramScorer:
         raise ValueError("empty training corpus")
     k = order - 1
     counts: dict = {}
-    totals: dict = {}
     for seq in corpus:
         padded = (_BOS,) * k + tuple(seq)
         for i in range(k, len(padded)):
-            ctx = padded[i - k : i]
             tok = padded[i]
             if not 0 <= tok < vocab_size:
                 raise ValueError(f"corpus id {tok} outside [0, {vocab_size})")
-            bucket = counts.setdefault(ctx, {})
+            bucket = counts.setdefault(padded[i - k : i], {})
             bucket[tok] = bucket.get(tok, 0) + 1
-            totals[ctx] = totals.get(ctx, 0) + 1
-    return NgramScorer(order, vocab_size, counts, totals)
+    return NgramScorer(order, vocab_size, counts)
 
 
 class HttpScorer(Scorer):

@@ -14,6 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import PromptError
 from .sql import render_schema
@@ -124,15 +125,16 @@ def bm25_scores(query: str, pool, k1: float = 1.2, b: float = 0.75):
         df = len(postings)
         idf = math.log((n - df + 0.5) / (df + 0.5))
         for i, f in postings:
-            norm = 1 - b + b * (lengths[i] / avgdl) if avgdl else 1.0
+            norm = 1 - b + b * (lengths[i] / avgdl)
             scores[i] += idf * f * (k1 + 1) / (f + k1 * norm)
     return scores
 
 
 def bm25_rank(query: str, pool, k1: float = 1.2, b: float = 0.75):
-    """Pool indices best-first; ties keep pool order."""
+    """Pool indices best-first; ties keep pool order, as the sort is
+    stable (with reverse=True too)."""
     scores = bm25_scores(query, pool, k1=k1, b=b)
-    return sorted(range(len(pool)), key=lambda i: (-scores[i], i))
+    return sorted(range(len(pool)), key=scores.__getitem__, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +187,9 @@ def build_prompt(
 ) -> Prompt:
     """Greedy budget-limited prompt assembly.
 
-    Examples are taken most-relevant-first until the next block would
-    exceed the budget or the example cap; the included set is then
+    Examples are taken most-relevant-first, equal relevances in input
+    order (the sort is stable), until the next block would exceed the
+    budget or the example cap; the included set is then
     arranged per `order` (best_last puts the most relevant example
     immediately before the target block).
 
@@ -203,17 +206,14 @@ def build_prompt(
     if used > budget:
         raise PromptError("budget too small for the header and target block")
 
-    ranked = sorted(
-        range(len(examples)), key=lambda i: (-examples[i].relevance, i)
-    )
     included = []
-    for i in ranked:
+    for ex in sorted(examples, key=attrgetter("relevance"), reverse=True):
         if len(included) >= max_examples:
             break
-        used += whitespace_tokens(_block(examples[i]))
+        used += whitespace_tokens(_block(ex))
         if used > budget:
             break
-        included.append(examples[i])
+        included.append(ex)
 
     if order == ORDER_BEST_FIRST:
         arranged = included

@@ -60,27 +60,34 @@ def load_schema_json(text: str) -> DbSchema:
 
 
 def schema_from_json(data) -> DbSchema:
-    """The DbSchema of an already parsed schema record."""
+    """The DbSchema of an already parsed schema record. tables and each
+    table's columns must be lists, and a column's type a string and its
+    values a list."""
     if not isinstance(data, dict):
         raise SchemaError("schema is not a JSON object")
     try:
-        tables = [
-            DbTable(
-                name=t["name"],
-                columns=[
-                    DbColumn(
-                        name=c["name"],
-                        type=c.get("type", "text"),
-                        values=list(c.get("values", [])),
-                    )
-                    for c in t["columns"]
-                ],
-            )
-            for t in data["tables"]
-        ]
+        tables = []
+        for t in _listed(data, "tables", "schema"):
+            columns = []
+            for c in _listed(t, "columns", f"table {t['name']!r}"):
+                col = DbColumn(c["name"], c.get("type", "text"), c.get("values", []))
+                where = f"column {col.name!r} of table {t['name']!r}"
+                if not isinstance(col.type, str):
+                    raise SchemaError(f"{where}: type is not a string")
+                if not isinstance(col.values, list):
+                    raise SchemaError(f"{where}: values is not a list")
+                columns.append(col)
+            tables.append(DbTable(t["name"], columns))
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed schema record: {exc}") from None
     return DbSchema(tables)
+
+
+def _listed(record, key, where):
+    value = record[key]
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: {key} is not a list")
+    return value
 
 
 def load_base_sql_grammar() -> Grammar:

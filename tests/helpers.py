@@ -1,5 +1,5 @@
 """Shared test utilities: random grammar generation, independent oracles
-and a local scorer server.
+and local scorer servers, over http and https.
 
 The oracles here deliberately avoid the code paths they check: language
 enumeration has a second breadth-first implementation, viable prefixes are
@@ -12,7 +12,10 @@ import json
 import math
 import random
 import re
+import shutil
 import socket
+import ssl
+import subprocess
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -404,19 +407,59 @@ class ScorerHandler(BaseHTTPRequestHandler):
         pass
 
 
+@contextlib.contextmanager
+def _serving(tls=None):
+    """The port of a ScorerHandler on 127.0.0.1, answering "ok" until a test
+    sets ScorerHandler.behavior; over TLS with the (certificate, key) files
+    `tls`."""
+    ScorerHandler.behavior = "ok"
+    ScorerHandler.last_request = None
+    server = HTTPServer(("127.0.0.1", 0), ScorerHandler)
+    if tls is not None:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(*tls)
+        server.socket = context.wrap_socket(server.socket, server_side=True)
+    # a short poll interval: shutdown() waits for the next poll
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.fixture()
 def scorer_server():
     """The URL of a ScorerHandler on a local port, answering "ok" until a
     test sets ScorerHandler.behavior."""
-    ScorerHandler.behavior = "ok"
-    ScorerHandler.last_request = None
-    server = HTTPServer(("127.0.0.1", 0), ScorerHandler)
-    # a short poll interval: shutdown() waits for the next poll
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/"
-    server.shutdown()
-    server.server_close()
+    with _serving() as port:
+        yield f"http://127.0.0.1:{port}/"
+
+
+@pytest.fixture()
+def tls_cert(tmp_path):
+    """(certificate, key) files of a new self-signed certificate for
+    127.0.0.1, made by the local openssl; the test is skipped without it."""
+    openssl = shutil.which("openssl")
+    if openssl is None:
+        pytest.skip("openssl is not installed")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(
+        [openssl, "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1",
+         "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+         "-keyout", str(key), "-out", str(cert)],
+        check=True, capture_output=True, timeout=60,
+    )
+    return cert, key
+
+
+@pytest.fixture()
+def https_scorer_server(tls_cert):
+    """scorer_server over https, behind tls_cert's certificate, which no
+    client trusts unless a test names it in SSL_CERT_FILE."""
+    with _serving(tls_cert) as port:
+        yield f"https://127.0.0.1:{port}/"
 
 
 def _read_request(conn):

@@ -17,7 +17,7 @@ from gramdec.sql import load_schema_json
 from gramdec.tokens import load_vocab_jsonl
 
 from helpers import ScorerHandler, grammar_texts, raw_server
-from helpers import scorer_server  # noqa: F401  (a fixture)
+from helpers import https_scorer_server, scorer_server, tls_cert  # noqa: F401  (fixtures)
 
 ANBN = '@start S\nS -> "a" S "b"\nS -> ""\n'
 
@@ -404,6 +404,13 @@ class TestDecode:
         code, _, err = run(capsys, *argv)
         assert code == 2 and "HTTP 500" in err
 
+    def test_url_untrusted_certificate(self, capsys, tmp_path, grammar_file, https_scorer_server):
+        vocab = tmp_path / "v.jsonl"
+        vocab.write_text('{"eos": 2}\n{"id": 0, "text": "a"}\n{"id": 1, "text": "b"}\n{"id": 2, "text": ""}\n')
+        argv = ["decode", "--grammar", grammar_file, "--vocab", str(vocab), "--url", https_scorer_server]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "CERTIFICATE_VERIFY_FAILED" in err
+
     def test_url_score_too_large_for_a_float(self, capsys, tmp_path, grammar_file):
         vocab = tmp_path / "v.jsonl"
         vocab.write_text('{"eos": 2}\n{"id": 0, "text": "a"}\n{"id": 1, "text": "b"}\n{"id": 2, "text": ""}\n')
@@ -549,6 +556,15 @@ BAD_FILES = {
     "sigs_empty_class": json.dumps({"literal": "T", "class": 'T -> T | "a" T'}),
     "sigs_duplicate": "\n".join(json.dumps({"symbol": "f", "args": [], "result": "U"}) for _ in range(2)),
     "schema_no_columns": json.dumps({"tables": [{"name": "t", "columns": []}]}),
+    "schema_values_str": json.dumps({"tables": [{"name": "t", "columns": [{"name": "c", "values": "abc"}]}]}),
+    "dataset_schema_values_str": json.dumps(
+        {
+            "id": "ex-10",
+            "utterance": "u",
+            "gold": "g",
+            "schema": {"tables": [{"name": "t", "columns": [{"name": "c", "values": "abc"}]}]},
+        }
+    ),
     "predictions_unknown_id": json.dumps({"id": "zz", "prediction": "(now)"}),
     "dataset_empty_utterance": json.dumps({"id": "ex-9", "utterance": "", "gold": "g"}),
 }
@@ -648,6 +664,13 @@ BAD_FILES = {
             ["induce-grammar", "--dataset", "{dataset_gold_unbalanced}", "--format", "mtop"], 2, id="gold-not-mtop"
         ),
         pytest.param(["specialize-sql", "--schema", "{schema_no_columns}"], 2, id="schema-no-columns"),
+        pytest.param(["specialize-sql", "--schema", "{schema_values_str}"], 2, id="schema-values-str"),
+        pytest.param(
+            ["build-prompt", "--dataset", "{dataset_schema_values_str}", "--target", "t",
+             "--context-mode", "sql_none", "--db-values"],
+            2,
+            id="dataset-schema-values-str",
+        ),
         pytest.param(
             ["evaluate", "--predictions", "{predictions_unknown_id}", "--dataset", "{dataset_ok}"],
             2,

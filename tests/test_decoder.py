@@ -31,7 +31,7 @@ from gramdec.grammar import parse_grammar, reduce
 from gramdec.tokens import Vocabulary, advance_token, allowed_tokens, build_trie
 
 from helpers import CHARS, ScorerHandler, grammar_alphabet, grammars, make_vocab, raw_server
-from helpers import scorer_server  # noqa: F401  (a fixture)
+from helpers import https_scorer_server, scorer_server, tls_cert  # noqa: F401  (fixtures)
 
 ANBN = reduce(parse_grammar('@start S\nS -> "a" S "b"\nS -> ""'))
 
@@ -564,3 +564,28 @@ class TestHttpScorer:
     def test_connection_refused(self):
         with pytest.raises(ScorerError):
             HttpScorer("http://127.0.0.1:9/", timeout=0.5).score((), "")
+
+
+class TestHttpsScorer:
+    def test_trusted_certificate(self, https_scorer_server, tls_cert, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(tls_cert[0]))
+        scores = HttpScorer(https_scorer_server, timeout=5).score((1, 2), "ctx")
+        assert scores[0] == pytest.approx(math.log(1 / 3) + 0.002)
+        assert ScorerHandler.last_request[0] == {"conditioning": "ctx", "prefix": [1, 2]}
+
+    def test_untrusted_certificate(self, https_scorer_server):
+        with pytest.raises(ScorerError, match="CERTIFICATE_VERIFY_FAILED"):
+            HttpScorer(https_scorer_server, timeout=5).score((), "")
+        assert ScorerHandler.last_request is None
+
+    def test_plain_http_server(self, scorer_server):
+        url = scorer_server.replace("http://", "https://", 1)
+        with pytest.raises(ScorerError, match="WRONG_VERSION_NUMBER"):
+            HttpScorer(url, timeout=5).score((), "")
+
+    def test_server_that_never_handshakes(self):
+        with raw_server(None) as url:
+            start = time.monotonic()
+            with pytest.raises(ScorerError):
+                HttpScorer(url.replace("http://", "https://", 1), timeout=0.5).score((), "")
+            assert time.monotonic() - start < 5

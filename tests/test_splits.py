@@ -168,6 +168,15 @@ class TestLoadDataset:
         ex = load_dataset_jsonl(text)[0]
         assert ex.schema.tables[0].name == "t"
 
+    def test_schema_values_not_a_list(self):
+        schema = {"tables": [{"name": "t", "columns": [{"name": "c", "values": "abc"}]}]}
+        lines = [
+            json.dumps({"id": "1", "utterance": "u", "gold": "g"}),
+            json.dumps({"id": "2", "utterance": "u", "gold": "g", "schema": schema}),
+        ]
+        with pytest.raises(SplitError, match="^schema on line 2: column 'c' of table 't': values"):
+            load_dataset_jsonl("\n".join(lines))
+
     def test_repeated_id(self):
         text = "\n".join(json.dumps({"id": "dup", "utterance": u, "gold": "g"}) for u in "ab")
         with pytest.raises(SplitError, match="'dup'"):

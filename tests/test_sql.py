@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from gramdec.earley import check_string, init_state
@@ -50,6 +52,51 @@ class TestSchema:
             load_schema_json("{nope")
         with pytest.raises(SchemaError):
             load_schema_json('{"tables": [{"name": "t"}]}')
+
+    @pytest.mark.parametrize(
+        "tables,message",
+        [
+            pytest.param("abc", "schema: tables is not a list", id="tables-str"),
+            pytest.param({"t": {}}, "schema: tables is not a list", id="tables-object"),
+            pytest.param(
+                [{"name": "t", "columns": "ab"}], "table 't': columns is not a list", id="columns-str"
+            ),
+            pytest.param(
+                [{"name": "t", "columns": {"a": {}}}], "table 't': columns is not a list", id="columns-object"
+            ),
+            pytest.param(
+                [{"name": "t", "columns": [{"name": "c", "values": "abc"}]}],
+                "column 'c' of table 't': values is not a list",
+                id="values-str",
+            ),
+            pytest.param(
+                [{"name": "t", "columns": [{"name": "c", "values": {"a": 1}}]}],
+                "column 'c' of table 't': values is not a list",
+                id="values-object",
+            ),
+            pytest.param(
+                [{"name": "t", "columns": [{"name": "c", "values": None}]}],
+                "column 'c' of table 't': values is not a list",
+                id="values-null",
+            ),
+            pytest.param(
+                [{"name": "t", "columns": [{"name": "c", "type": ["text"]}]}],
+                "column 'c' of table 't': type is not a string",
+                id="type-list",
+            ),
+        ],
+    )
+    def test_field_of_the_wrong_kind_is_named(self, tables, message):
+        with pytest.raises(SchemaError) as info:
+            load_schema_json(json.dumps({"tables": tables}))
+        assert str(info.value) == message
+
+    def test_values_are_kept_as_given(self):
+        s = load_schema_json(
+            '{"tables": [{"name": "t", "columns":'
+            ' [{"name": "c", "type": "number", "values": [1, "a", 2.5]}]}]}'
+        )
+        assert s.tables[0].columns[0].values == [1, "a", 2.5]
 
 
 class TestBaseGrammar:
