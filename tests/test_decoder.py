@@ -379,6 +379,54 @@ class SeededScorer(Scorer):
         return [base + rng.choice(self.VALUES) for _ in range(self.size)]
 
 
+class DistinctScorer(Scorer):
+    """Scores that never tie, in the shape of perfbench's stand-in: one
+    best token at `base`, every other at base - scale * (1 + k) * step
+    for a distinct seeded k, where base is `first` on the first step and
+    0.0 after it, and scale is 1 + |base|, so the first step's scores stay
+    distinct too.
+
+    `best` says where the best token lies: among the legal ids, the
+    illegal ones or any id (any id when the chosen set is empty). When
+    `masked` is not None, it is the score of every other masked-out id.
+    """
+
+    def __init__(self, grammar, trie, seed, first, step, best, masked):
+        self.grammar = grammar
+        self.trie = trie
+        self.seed = seed
+        self.first = first
+        self.step = step
+        self.best = best
+        self.masked = masked
+
+    def _legal(self, prefix):
+        size = self.trie.vocab.size
+        if self.grammar is None:
+            return set(range(size))
+        state = init_state(self.grammar)
+        for tid in prefix:
+            state = advance_token(state, self.trie, tid)
+        return allowed_tokens(state, self.trie)
+
+    def score(self, prefix, conditioning=""):
+        rng = random.Random(f"{self.seed}:{list(prefix)}")
+        size = self.trie.vocab.size
+        base = 0.0 if prefix else self.first
+        scale = 1.0 + abs(base)
+        order = rng.sample(range(size), size)
+        scores = [base - scale * (1 + k) * self.step for k in order]
+        legal = self._legal(prefix)
+        illegal = [t for t in range(size) if t not in legal]
+        pool = {"legal": sorted(legal), "illegal": illegal, "any": range(size)}[self.best]
+        best = rng.choice(pool or range(size))
+        if self.masked is not None:
+            for t in illegal:
+                scores[t] = self.masked
+        scores[best] = base
+        return scores
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(st.one_of(grammars(), grammars(loops=True)), st.data())
 def test_decode_matches_full_sort_reference(g, data):
@@ -407,16 +455,48 @@ def test_decode_matches_full_sort_reference(g, data):
     ]
 
 
+class Converted(Scorer):
+    """Another scorer's scores, handed out in another container."""
+
+    def __init__(self, inner, convert):
+        self.inner = inner
+        self.convert = convert
+
+    def score(self, prefix, conditioning=""):
+        return self.convert(self.inner.score(prefix, conditioning))
+
+
+class EndsAfter(Scorer):
+    """Another scorer whose eos scores 1e17 after `n` tokens."""
+
+    def __init__(self, inner, eos, n):
+        self.inner = inner
+        self.eos = eos
+        self.n = n
+
+    def score(self, prefix, conditioning=""):
+        scores = self.inner.score(prefix, conditioning)
+        if len(prefix) >= self.n:
+            scores[self.eos] = 1e17
+        return scores
+
+
 # every token without a newline is legal at every step
 ANY_LINE = reduce(parse_grammar('S -> [^\\n] S | ""'))
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(st.sampled_from(["any line", "drawn", "unconstrained"]), st.data())
-def test_large_vocabulary_decode_matches_full_sort_reference(kind, data):
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(["any line", "drawn", "unconstrained"]),
+    st.sampled_from(["tying", "distinct"]),
+    st.data(),
+)
+def test_large_vocabulary_decode_matches_full_sort_reference(kind, scores, data):
     # a few hundred tokens, so one step's mask can hold hundreds of ids;
     # after a first step at about -1e16 (whose ulp is 2) a step's totals
-    # round together, and the lower token id must win
+    # round together, and the lower token id must win. Distinct scores
+    # draw steps with one clear winner, whose best token may be masked
+    # out, and masked-out ids that score -inf or NaN.
     if kind == "drawn":
         g = data.draw(grammars(loops=True))
         try:
@@ -426,7 +506,7 @@ def test_large_vocabulary_decode_matches_full_sort_reference(kind, data):
         alphabet = grammar_alphabet(g) | set("ab")
     else:
         g = ANY_LINE
-        alphabet = set("ab")
+        alphabet = set("ab\n")
     alphabet = sorted(alphabet | {data.draw(CHARS)})
     rng = random.Random(data.draw(st.integers(0, 2**16)))
     size = data.draw(st.integers(150, 400))
@@ -438,12 +518,26 @@ def test_large_vocabulary_decode_matches_full_sort_reference(kind, data):
     vocab = make_vocab(sorted(tokens))
     trie = build_trie(vocab)
     first = data.draw(st.sampled_from([0.0, -1e16]))
-    scorer = SeededScorer(vocab.size, data.draw(st.integers(0, 2**16)), first)
+    seed = data.draw(st.integers(0, 2**16))
     cfg = DecodeConfig(
         beam_size=data.draw(st.sampled_from([1, 1, 2, 3, 4, 5])),
         max_tokens=data.draw(st.integers(2, 6)),
     )
     grammar = None if kind == "unconstrained" else g
+    if scores == "tying":
+        scorer = SeededScorer(vocab.size, seed, first)
+    else:
+        scorer = DistinctScorer(
+            grammar,
+            trie,
+            seed,
+            first,
+            step=data.draw(st.sampled_from([1.0, 1e-3, 1e-17])),
+            best=data.draw(st.sampled_from(["legal", "legal", "illegal", "any"])),
+            masked=data.draw(st.sampled_from([None, None, -math.inf, math.nan])),
+        )
+    # so that greedy decodes finish, and compare more than their failure
+    scorer = EndsAfter(scorer, vocab.eos_id, data.draw(st.integers(1, cfg.max_tokens)))
     want = reference_decode(scorer, grammar, vocab, cfg, trie)
     if not want:
         with pytest.raises(NoViableHypothesisError):
@@ -453,6 +547,28 @@ def test_large_vocabulary_decode_matches_full_sort_reference(kind, data):
     assert [(r.text, r.logprob.hex(), r.tokens) for r in got] == [
         (text, logprob.hex(), tokens) for text, logprob, tokens in want
     ]
+
+
+
+@pytest.mark.parametrize("beam", [1, 3])
+@pytest.mark.parametrize("container", ["tuple", "numpy"])
+def test_scores_need_not_be_a_list(container, beam):
+    # the Scorer contract asks for len, indexing and iteration only
+    convert = pytest.importorskip("numpy").array if container == "numpy" else tuple
+    rng = random.Random(0)
+    vocab = make_vocab(sorted({"".join(rng.choices("ab\n", k=rng.randint(1, 3))) for _ in range(60)}))
+    trie = build_trie(vocab)
+    cfg = DecodeConfig(beam_size=beam, max_tokens=6)
+    cases = itertools.product(
+        [ANY_LINE, None], [0.0, -1e16], [1.0, 1e-17], ["legal", "illegal"], [None, -math.inf]
+    )
+    for seed, (grammar, first, step, best, masked) in enumerate(cases):
+        scorer = EndsAfter(DistinctScorer(grammar, trie, seed, first, step, best, masked), vocab.eos_id, 3)
+        want = decode(scorer, grammar, vocab, cfg, trie=trie)
+        got = decode(Converted(scorer, convert), grammar, vocab, cfg, trie=trie)
+        assert [(r.text, r.logprob.hex(), r.tokens) for r in got] == [
+            (r.text, r.logprob.hex(), r.tokens) for r in want
+        ]
 
 
 def _reply(status: str, body: bytes, length=None) -> bytes:
