@@ -60,33 +60,52 @@ def load_schema_json(text: str) -> DbSchema:
 
 
 def schema_from_json(data) -> DbSchema:
-    """The DbSchema of an already parsed schema record. tables and each
-    table's columns must be lists, and a column's type a string and its
-    values a list."""
+    """The DbSchema of an already parsed schema record. tables, each table
+    and each column must be JSON objects; a table's and a column's name
+    must be present and a string, tables and columns lists, and a
+    column's type (if given) a string and its values (if given) a list.
+    An error names the table and the column, each by index until its name
+    is read, and the field."""
     if not isinstance(data, dict):
         raise SchemaError("schema is not a JSON object")
-    try:
-        tables = []
-        for t in _listed(data, "tables", "schema"):
-            columns = []
-            for c in _listed(t, "columns", f"table {t['name']!r}"):
-                col = DbColumn(c["name"], c.get("type", "text"), c.get("values", []))
-                where = f"column {col.name!r} of table {t['name']!r}"
-                if not isinstance(col.type, str):
-                    raise SchemaError(f"{where}: type is not a string")
-                if not isinstance(col.values, list):
-                    raise SchemaError(f"{where}: values is not a list")
-                columns.append(col)
-            tables.append(DbTable(t["name"], columns))
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed schema record: {exc}") from None
+    tables = []
+    for i, t in enumerate(_field(data, "tables", list, "schema")):
+        where = f"table {i}"
+        if not isinstance(t, dict):
+            raise SchemaError(f"{where} is not a JSON object")
+        name = _field(t, "name", str, where)
+        where = f"table {name!r}"
+        columns = []
+        for j, c in enumerate(_field(t, "columns", list, where)):
+            cwhere = f"column {j} of {where}"
+            if not isinstance(c, dict):
+                raise SchemaError(f"{cwhere} is not a JSON object")
+            cname = _field(c, "name", str, cwhere)
+            cwhere = f"column {cname!r} of {where}"
+            columns.append(
+                DbColumn(
+                    cname,
+                    _field(c, "type", str, cwhere, "text"),
+                    _field(c, "values", list, cwhere, []),
+                )
+            )
+        tables.append(DbTable(name, columns))
     return DbSchema(tables)
 
 
-def _listed(record, key, where):
+_KIND = {list: "a list", str: "a string"}
+
+
+def _field(record, key, kind, where, default=None):
+    """record[key], which must be a `kind`; `default` when the key is
+    absent, which is an error when there is no default."""
+    if key not in record:
+        if default is None:
+            raise SchemaError(f"{where}: {key} is missing")
+        return default
     value = record[key]
-    if not isinstance(value, list):
-        raise SchemaError(f"{where}: {key} is not a list")
+    if not isinstance(value, kind):
+        raise SchemaError(f"{where}: {key} is not {_KIND[kind]}")
     return value
 
 

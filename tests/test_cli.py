@@ -557,6 +557,9 @@ BAD_FILES = {
     "sigs_duplicate": "\n".join(json.dumps({"symbol": "f", "args": [], "result": "U"}) for _ in range(2)),
     "schema_no_columns": json.dumps({"tables": [{"name": "t", "columns": []}]}),
     "schema_values_str": json.dumps({"tables": [{"name": "t", "columns": [{"name": "c", "values": "abc"}]}]}),
+    "schema_table_str": json.dumps({"tables": ["x"]}),
+    "schema_column_int": json.dumps({"tables": [{"name": "t", "columns": [5]}]}),
+    "schema_column_no_name": json.dumps({"tables": [{"name": "t", "columns": [{"type": "text"}]}]}),
     "dataset_schema_values_str": json.dumps(
         {
             "id": "ex-10",
@@ -665,6 +668,11 @@ BAD_FILES = {
         ),
         pytest.param(["specialize-sql", "--schema", "{schema_no_columns}"], 2, id="schema-no-columns"),
         pytest.param(["specialize-sql", "--schema", "{schema_values_str}"], 2, id="schema-values-str"),
+        pytest.param(["specialize-sql", "--schema", "{schema_table_str}"], 2, id="schema-table-str"),
+        pytest.param(["specialize-sql", "--schema", "{schema_column_int}"], 2, id="schema-column-int"),
+        pytest.param(
+            ["specialize-sql", "--schema", "{schema_column_no_name}"], 2, id="schema-column-no-name"
+        ),
         pytest.param(
             ["build-prompt", "--dataset", "{dataset_schema_values_str}", "--target", "t",
              "--context-mode", "sql_none", "--db-values"],

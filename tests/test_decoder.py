@@ -15,6 +15,7 @@ import gramdec
 from gramdec.decoder import (
     DecodeConfig,
     HttpScorer,
+    Hypothesis,
     NgramScorer,
     Scorer,
     decode,
@@ -310,6 +311,44 @@ class TestDecode:
         for row in ([-0.1, -3.0, -huge], [-1, -3, huge]):
             with pytest.raises(ScorerError, match="token 2$"):
                 decode(TableScorer(vocab.size, {(): row}), ANBN, vocab, cfg)
+        # two huge ints whose int sum is finite
+        with pytest.raises(ScorerError, match="token 0$"):
+            decode(TableScorer(vocab.size, {(): [huge, -3.0, -huge]}), ANBN, vocab, cfg)
+
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_a_literal_asks_for_one_mask_per_state(self, monkeypatch, beam):
+        # inside the literal every token leaves the state as it was, so a
+        # hypothesis keeps its parent's mask
+        g = reduce(parse_grammar("S -> \"'\" T \"'\"\nT -> [a-z] T | \"\""))
+        vocab = make_vocab(["'", "a", "b", "ab", "ba", "'a"])
+        trie = build_trie(vocab)
+        target = (0, 3, 1, 4, 2, 0, vocab.eos_id)
+        table = {}
+        for k, tid in enumerate(target):
+            table[target[:k]] = [-1.0 - t / 8 for t in range(vocab.size)]
+            table[target[:k]][tid] = 0.0
+        asked = []
+        made = []
+
+        def counting(state, t):
+            asked.append(state)
+            return allowed_tokens(state, t)
+
+        def recording(*args, **kwargs):
+            made.append(Hypothesis(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(gramdec.decoder, "allowed_tokens", counting)
+        monkeypatch.setattr(gramdec.decoder, "Hypothesis", recording)
+        cfg = DecodeConfig(beam_size=beam, max_tokens=10)
+        got = decode(TableScorer(vocab.size, table), g, vocab, cfg, trie=trie)
+        assert got[0].tokens == target
+        assert len(asked) == len({id(s) for s in asked})
+        if beam == 1:
+            # the root's, the literal's and the closed literal's state
+            assert len(asked) == 3
+        assert all(h.mask is None or h.mask == allowed_tokens(h.state, trie) for h in made)
+        assert sum(h.mask is not None for h in made) > len(asked)
 
     def test_finite_scores_whose_sum_overflows(self):
         vocab = make_vocab(["a", "b"])

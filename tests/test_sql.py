@@ -84,12 +84,42 @@ class TestSchema:
                 "column 'c' of table 't': type is not a string",
                 id="type-list",
             ),
+            pytest.param(["x"], "table 0 is not a JSON object", id="table-str"),
+            pytest.param(
+                [{"name": "t", "columns": []}, None], "table 1 is not a JSON object", id="table-null"
+            ),
+            pytest.param(
+                [{"name": "t", "columns": [5]}], "column 0 of table 't' is not a JSON object", id="column-int"
+            ),
+            pytest.param(
+                [{"name": "t", "columns": [{"name": "c"}, ["d"]]}],
+                "column 1 of table 't' is not a JSON object",
+                id="column-list",
+            ),
+            pytest.param([{"columns": []}], "table 0: name is missing", id="table-no-name"),
+            pytest.param([{"name": 5, "columns": []}], "table 0: name is not a string", id="table-name-int"),
+            pytest.param(
+                [{"name": "t", "columns": [{"type": "text"}]}],
+                "column 0 of table 't': name is missing",
+                id="column-no-name",
+            ),
+            pytest.param(
+                [{"name": "t", "columns": [{"name": "c"}, {"name": None}]}],
+                "column 1 of table 't': name is not a string",
+                id="column-name-null",
+            ),
+            pytest.param([{"name": "t"}], "table 't': columns is missing", id="no-columns"),
         ],
     )
     def test_field_of_the_wrong_kind_is_named(self, tables, message):
         with pytest.raises(SchemaError) as info:
             load_schema_json(json.dumps({"tables": tables}))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("record", [{}, {"table": []}])
+    def test_missing_tables_is_named(self, record):
+        with pytest.raises(SchemaError, match="^schema: tables is missing$"):
+            load_schema_json(json.dumps(record))
 
     def test_values_are_kept_as_given(self):
         s = load_schema_json(
