@@ -297,6 +297,36 @@ class TestDecode:
         with pytest.raises(ScorerError, match="token 0$"):
             decode(TableScorer(vocab.size, table), g, vocab, DecodeConfig(beam_size=2))
 
+    @pytest.mark.parametrize("beam", [2, 3, 4])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 10**400], ids=["nan", "inf", "huge"])
+    def test_outranked_slot_with_a_non_finite_score(self, beam, bad):
+        # after "a" the four tokens "w".."z" fill the beam at totals of
+        # -0.2 to -0.5, while the last slot, at -5 or below, can reach no
+        # more than -5.9 with its finite scores; a non-finite score at one
+        # of its legal ids still fails the decode, and one at its illegal
+        # ids is still ignored
+        g = reduce(parse_grammar('S -> [abcd] T\nT -> [wxyz]'))
+        vocab = make_vocab(["a", "b", "c", "d", "w", "x", "y", "z"])
+        trie = build_trie(vocab)
+        table = {
+            (): [-0.1, -5.0, -6.0, -7.0, -9.0, -9.0, -9.0, -9.0, -9.0],
+            (0,): [-1.0, -1.0, -1.0, -1.0, -0.1, -0.2, -0.3, -0.4, -1.0],
+        }
+        last = (beam - 1,)
+        cfg = DecodeConfig(beam_size=beam, max_tokens=4)
+        row = [-0.9] * vocab.size
+        row[5] = bad  # "x", legal after any of "a".."d"
+        with pytest.raises(ScorerError, match="token 5$"):
+            decode(TableScorer(vocab.size, {**table, last: row}), g, vocab, cfg, trie=trie)
+        row = [-0.9] * vocab.size
+        row[0] = row[3] = row[vocab.eos_id] = bad  # "a", "d" and eos are not
+        scorer = TableScorer(vocab.size, {**table, last: row})
+        want = reference_decode(scorer, g, vocab, cfg, trie)
+        got = decode(scorer, g, vocab, cfg, trie=trie)
+        assert [(r.text, r.logprob.hex(), r.tokens) for r in got] == [
+            (text, logprob.hex(), tokens) for text, logprob, tokens in want
+        ]
+
     @pytest.mark.parametrize("beam", [1, 2])
     def test_int_score_too_large_for_a_float(self, beam):
         # "b" is not legal first, so a score there is ignored; at a legal
