@@ -37,6 +37,24 @@ A hypothesis carries its mask from the first time its state is scored.
 A token that leaves the state object as it was, as inside a literal,
 hands the same mask to the child, so a literal asks for one mask per
 state. A mask lives only as long as some hypothesis holds it.
+
+A wider beam skips the hypotheses that cannot reach the next beam. The
+active hypotheses come best-first out of the last selection, and as a step
+reads each one's legal totals it keeps the floor: the beam_size-th best
+total read so far. A later hypothesis is skipped, with no mask and no
+candidates, when the float sum of all its scores is finite and
+logprob + max(scores) < floor. Float addition is monotone, so each of its
+totals is at most logprob + max(scores), strictly below the floor, and
+beam_size candidates already read outrank all of them whatever the
+tie-break; the strict bound keeps a hypothesis that could tie. A sum that
+is not finite never skips, so a non-finite legal score still meets the
+per-token check. The scorer is still called for every hypothesis.
+
+A chosen token is advanced lazily: the child holds its parent and the
+token id, and advances when its mask is first asked for, so a child that
+is skipped or dropped never advances. An eos child takes its parent's
+state, which has been advanced, as only a hypothesis with a mask yields
+candidates.
 """
 
 from __future__ import annotations
@@ -83,8 +101,27 @@ class DecodeConfig:
 class Hypothesis:
     tokens: tuple
     logprob: float
-    state: object  # PrefixState, or None when unconstrained
+    state: object  # PrefixState, or None when unconstrained or not yet advanced
     mask: object = None  # allowed_tokens(state), once asked for
+    # (parent, token id) until that token is advanced from the parent's
+    # state, when the mask is first asked for; then None, so no chain of
+    # parents is kept alive
+    pending: object = None
+
+    def legal(self, trie):
+        """allowed_tokens(state), advancing the pending token first; a
+        token that leaves the parent's state object as it was, as inside a
+        literal, keeps the parent's mask."""
+        if self.mask is None:
+            if self.pending is not None:
+                parent, tid = self.pending
+                self.pending = None
+                self.state = advance_token(parent.state, trie, tid)
+                if self.state is parent.state:
+                    self.mask = parent.mask
+                    return self.mask
+            self.mask = allowed_tokens(self.state, trie)
+        return self.mask
 
 
 @dataclass
@@ -157,6 +194,12 @@ def decode(
     score is not finite, the best token is masked out or a second score
     comes within the cut; a hypothesis keeps its parent's mask while its
     state is the parent's (module docstring).
+
+    A wider beam skips a hypothesis when the sum of its scores is finite
+    and its logprob plus its best score lies strictly below the
+    beam_size-th best total of the hypotheses before it, so it gets no
+    mask; the scorer is still called for it. A chosen token is advanced
+    only when its hypothesis's mask is first asked for (module docstring).
     """
     constrained = grammar is not None
     if constrained:
@@ -179,18 +222,26 @@ def decode(
         # so the tuples' own order is best-first with ties by token id, then
         # slot.
         streams = []
+        # the beam_size best totals read so far, ascending, while a later
+        # slot is still to be read; kept[0] is the floor once there are
+        # beam_size of them
+        kept = []
+        last = len(active) - 1
         for slot, hyp in enumerate(active):
             scores = scorer.score(hyp.tokens, conditioning)
             if len(scores) != vocab.size:
                 raise ScorerError(
                     f"scorer returned {len(scores)} scores for vocabulary of {vocab.size}"
                 )
-            if not constrained:
-                legal = range(vocab.size)
-            elif hyp.mask is None:
-                legal = hyp.mask = allowed_tokens(hyp.state, trie)
-            else:
-                legal = hyp.mask
+            if (
+                len(kept) == cfg.beam_size
+                and _sum_is_finite(scores)
+                and hyp.logprob + max(scores) < kept[0]
+            ):
+                # outranked: no token of this hypothesis can enter the beam
+                # (module docstring)
+                continue
+            legal = hyp.legal(trie) if constrained else range(vocab.size)
             if greedy and WIDE * len(legal) > vocab.size:
                 winner = _clear_winner(scores, legal, hyp.logprob)
                 if winner is not None:
@@ -209,7 +260,9 @@ def decode(
                 lo = cut - 2 * (math.ulp(hyp.logprob + cut) + math.ulp(cut))
                 legal = list(compress(legal, map(ge, vals, repeat(lo))))
                 vals = list(map(scores.__getitem__, legal))
-            totals = map(add, repeat(hyp.logprob), vals)
+            totals = list(map(add, repeat(hyp.logprob), vals))
+            if slot < last:
+                kept = sorted(kept + totals)[-cfg.beam_size :]
             streams.append(zip(map(neg, totals), legal, repeat(slot)))
         best = heapq.nsmallest(cfg.beam_size, chain.from_iterable(streams))
         if not best:
@@ -218,18 +271,15 @@ def decode(
         for cost, tid, slot in best:
             score = -cost
             parent = active[slot]
+            tokens = parent.tokens + (tid,)
             if tid == eos:
-                finished.append(
-                    Hypothesis(parent.tokens + (eos,), score, parent.state)
-                )
+                # a parent that yields candidates has its state advanced
+                finished.append(Hypothesis(tokens, score, parent.state))
+            elif constrained:
+                # advanced when its mask is first asked for, if ever
+                next_active.append(Hypothesis(tokens, score, None, pending=(parent, tid)))
             else:
-                state = advance_token(parent.state, trie, tid) if constrained else None
-                # inside a literal a token may leave the state, and so its
-                # mask, as it was
-                mask = parent.mask if state is parent.state else None
-                next_active.append(
-                    Hypothesis(parent.tokens + (tid,), score, state, mask)
-                )
+                next_active.append(Hypothesis(tokens, score, None))
         active = next_active
         if not active:
             break

@@ -37,19 +37,25 @@ class DbSchema:
     tables: list
 
     def __post_init__(self):
-        for t in self.tables:
-            if not t.name or not isinstance(t.name, str):
-                raise SchemaError("table name must be a non-empty string")
-            cols = [c.name for c in t.columns]
-            if any(not c or not isinstance(c, str) for c in cols):
-                raise SchemaError(
-                    f"column names in table {t.name!r} must be non-empty strings"
-                )
-            if len(set(cols)) != len(cols):
-                raise SchemaError(f"duplicate column names in table {t.name!r}")
-        names = [t.name for t in self.tables]
-        if len(set(names)) != len(names):
-            raise SchemaError("duplicate table names")
+        """Every name must be a non-empty string, and unique among the
+        tables or among its table's columns. An error names the table and
+        the column, each by index when its name is at fault."""
+        tables = set()
+        for i, t in enumerate(self.tables):
+            if not isinstance(t.name, str) or not t.name:
+                raise SchemaError(f"table {i}: name must be a non-empty string")
+            if t.name in tables:
+                raise SchemaError(f"duplicate table name {t.name!r}")
+            tables.add(t.name)
+            columns = set()
+            for j, c in enumerate(t.columns):
+                if not isinstance(c.name, str) or not c.name:
+                    raise SchemaError(
+                        f"column {j} of table {t.name!r}: name must be a non-empty string"
+                    )
+                if c.name in columns:
+                    raise SchemaError(f"duplicate column name {c.name!r} in table {t.name!r}")
+                columns.add(c.name)
 
 
 def load_schema_json(text: str) -> DbSchema:

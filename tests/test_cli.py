@@ -560,6 +560,10 @@ BAD_FILES = {
     "schema_table_str": json.dumps({"tables": ["x"]}),
     "schema_column_int": json.dumps({"tables": [{"name": "t", "columns": [5]}]}),
     "schema_column_no_name": json.dumps({"tables": [{"name": "t", "columns": [{"type": "text"}]}]}),
+    "schema_table_empty_name": json.dumps({"tables": [{"name": "t", "columns": []}, {"name": "", "columns": []}]}),
+    "schema_column_empty_name": json.dumps({"tables": [{"name": "t", "columns": [{"name": "a"}, {"name": ""}]}]}),
+    "schema_duplicate_table": json.dumps({"tables": [{"name": "t", "columns": []}, {"name": "t", "columns": []}]}),
+    "schema_duplicate_column": json.dumps({"tables": [{"name": "t", "columns": [{"name": "a"}, {"name": "a"}]}]}),
     "dataset_schema_values_str": json.dumps(
         {
             "id": "ex-10",
@@ -570,6 +574,15 @@ BAD_FILES = {
     ),
     "predictions_unknown_id": json.dumps({"id": "zz", "prediction": "(now)"}),
     "dataset_empty_utterance": json.dumps({"id": "ex-9", "utterance": "", "gold": "g"}),
+}
+
+
+# what a schema with a bad name is refused for, after its file's name
+SCHEMA_NAME_ERRORS = {
+    "{schema_table_empty_name}": "table 1: name must be a non-empty string",
+    "{schema_column_empty_name}": "column 1 of table 't': name must be a non-empty string",
+    "{schema_duplicate_table}": "duplicate table name 't'",
+    "{schema_duplicate_column}": "duplicate column name 'a' in table 't'",
 }
 
 
@@ -674,6 +687,18 @@ BAD_FILES = {
             ["specialize-sql", "--schema", "{schema_column_no_name}"], 2, id="schema-column-no-name"
         ),
         pytest.param(
+            ["specialize-sql", "--schema", "{schema_table_empty_name}"], 2, id="schema-table-empty-name"
+        ),
+        pytest.param(
+            ["specialize-sql", "--schema", "{schema_column_empty_name}"], 2, id="schema-column-empty-name"
+        ),
+        pytest.param(
+            ["specialize-sql", "--schema", "{schema_duplicate_table}"], 2, id="schema-duplicate-table"
+        ),
+        pytest.param(
+            ["specialize-sql", "--schema", "{schema_duplicate_column}"], 2, id="schema-duplicate-column"
+        ),
+        pytest.param(
             ["build-prompt", "--dataset", "{dataset_schema_values_str}", "--target", "t",
              "--context-mode", "sql_none", "--db-values"],
             2,
@@ -716,6 +741,8 @@ def test_bad_input_is_a_typed_error(capsys, tmp_path, grammar_file, vocab_file, 
         assert str(paths[argv[2].strip("{}")]) in err
     if argv[2] in ("{dataset_gold_nope}", "{dataset_gold_unbalanced}", "{dataset_empty_utterance}"):
         assert "example 'ex-" in err
+    if argv[2] in SCHEMA_NAME_ERRORS:
+        assert err == f"error: {paths[argv[2].strip('{}')]}: {SCHEMA_NAME_ERRORS[argv[2]]}\n"
 
 
 def write_dataset(tmp_path, n_train=1600, n_dev=200, n_test=400):

@@ -29,6 +29,7 @@ from gramdec.errors import (
     VocabularyError,
 )
 from gramdec.grammar import parse_grammar, reduce
+from gramdec.sql import DbColumn, DbSchema, DbTable, load_base_sql_grammar, specialize_sql_grammar
 from gramdec.tokens import Vocabulary, advance_token, allowed_tokens, build_trie
 
 from helpers import CHARS, ScorerHandler, grammar_alphabet, grammars, make_vocab, raw_server
@@ -345,7 +346,7 @@ class TestDecode:
         with pytest.raises(ScorerError, match="token 0$"):
             decode(TableScorer(vocab.size, {(): [huge, -3.0, -huge]}), ANBN, vocab, cfg)
 
-    @pytest.mark.parametrize("beam", [1, 3])
+    @pytest.mark.parametrize("beam", [1, 3, 4])
     def test_a_literal_asks_for_one_mask_per_state(self, monkeypatch, beam):
         # inside the literal every token leaves the state as it was, so a
         # hypothesis keeps its parent's mask
@@ -638,6 +639,77 @@ def test_scores_need_not_be_a_list(container, beam):
         assert [(r.text, r.logprob.hex(), r.tokens) for r in got] == [
             (r.text, r.logprob.hex(), r.tokens) for r in want
         ]
+
+
+class Counted(Scorer):
+    """Another scorer, counting its calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def score(self, prefix, conditioning=""):
+        self.calls += 1
+        return self.inner.score(prefix, conditioning)
+
+
+def _sql_case():
+    schema = DbSchema([DbTable("head", [DbColumn("born_state"), DbColumn("age")])])
+    g = specialize_sql_grammar(load_base_sql_grammar(), schema)
+    words = ["SELECT", "FROM", "WHERE", "AND", "head", "age", "born_state", "count"]
+    tokens = [w for word in words for w in (word, " " + word)]
+    return g, make_vocab(tokens + [", ", " = ", " > ", "(*)", "'", "1", "x", " "])
+
+
+def _any_line_case():
+    rng = random.Random(0)
+    tokens = {"".join(rng.choices("ab\n", k=rng.randint(1, 3))) for _ in range(60)}
+    return ANY_LINE, make_vocab(sorted(tokens))
+
+
+@pytest.mark.parametrize("case", [_any_line_case, _sql_case], ids=["any-line", "sql"])
+def test_an_outranked_hypothesis_is_neither_masked_nor_advanced(monkeypatch, case):
+    # one token a step scores 0.0 and the others -1.0, -2.0, ..., so the
+    # best hypothesis's children fill most of the next beam; a hypothesis
+    # that cannot reach it is not masked, and a chosen token is advanced
+    # only when its hypothesis is masked
+    g, vocab = case()
+    trie = build_trie(vocab)
+    cfg = DecodeConfig(beam_size=4, max_tokens=8)
+    asked = []
+    advanced = []
+    made = []
+
+    def counting_mask(state, t):
+        asked.append(state)
+        return allowed_tokens(state, t)
+
+    def counting_advance(state, t, tid):
+        advanced.append(tid)
+        return advance_token(state, t, tid)
+
+    def recording(*args, **kwargs):
+        made.append(Hypothesis(*args, **kwargs))
+        return made[-1]
+
+    for seed in range(3):
+        scorer = Counted(EndsAfter(DistinctScorer(g, trie, seed, 0.0, 1.0, "legal", None), vocab.eos_id, 5))
+        want = reference_decode(scorer, g, vocab, cfg, trie)
+        assert want
+        scorer.calls = 0
+        del asked[:], advanced[:], made[:]
+        with monkeypatch.context() as m:
+            m.setattr(gramdec.decoder, "allowed_tokens", counting_mask)
+            m.setattr(gramdec.decoder, "advance_token", counting_advance)
+            m.setattr(gramdec.decoder, "Hypothesis", recording)
+            got = decode(scorer, g, vocab, cfg, trie=trie)
+        assert [(r.text, r.logprob.hex(), r.tokens) for r in got] == [
+            (text, logprob.hex(), tokens) for text, logprob, tokens in want
+        ]
+        assert len(asked) < scorer.calls and len(advanced) < scorer.calls
+        # every advanced hypothesis holds its mask, unless it finished
+        for h in made:
+            assert h.state is None or h.mask is not None or h.tokens[-1] == vocab.eos_id
 
 
 def _reply(status: str, body: bytes, length=None) -> bytes:

@@ -33,12 +33,40 @@ def base():
 
 class TestSchema:
     def test_duplicate_tables(self):
-        with pytest.raises(SchemaError):
-            DbSchema([DbTable("t", []), DbTable("t", [])])
+        with pytest.raises(SchemaError, match="^duplicate table name 't'$"):
+            DbSchema([DbTable("t", []), DbTable("u", []), DbTable("t", [])])
 
     def test_duplicate_columns(self):
-        with pytest.raises(SchemaError):
-            DbSchema([DbTable("t", [DbColumn("a"), DbColumn("a")])])
+        with pytest.raises(SchemaError, match="^duplicate column name 'a' in table 't'$"):
+            DbSchema([DbTable("t", [DbColumn("a"), DbColumn("b"), DbColumn("a")])])
+
+    @pytest.mark.parametrize(
+        "tables, message",
+        [
+            pytest.param(
+                [DbTable("t", []), DbTable("", [])],
+                "table 1: name must be a non-empty string",
+                id="table-empty",
+            ),
+            pytest.param(
+                [DbTable(None, [])], "table 0: name must be a non-empty string", id="table-none"
+            ),
+            pytest.param(
+                [DbTable("t", [DbColumn("a"), DbColumn("")])],
+                "column 1 of table 't': name must be a non-empty string",
+                id="column-empty",
+            ),
+            pytest.param(
+                [DbTable("t", [DbColumn(["a"])])],
+                "column 0 of table 't': name must be a non-empty string",
+                id="column-list",
+            ),
+        ],
+    )
+    def test_empty_name_says_which(self, tables, message):
+        with pytest.raises(SchemaError) as info:
+            DbSchema(tables)
+        assert str(info.value) == message
 
     def test_json_round(self):
         s = load_schema_json(
